@@ -14,7 +14,6 @@ from .chunking import (
     ChunkStats,
     build_chunks,
     chunk_stats,
-    merge_scores,
 )
 from .detection import (
     METHOD_BALANCED_OT,
@@ -25,6 +24,7 @@ from .detection import (
     ChunkDiagnostics,
     classify,
     detect_changes,
+    merge_scores,
     pointwise_scores,
 )
 from .io import (

@@ -168,62 +168,6 @@ def _check_splittable(
         )
 
 
-def merge_scores(parts, n1: int):
-    """Reassemble per-chunk target results into whole-cloud arrays.
-
-    ``parts`` is an iterable of ``(ChunkPair, scores, classes)`` or
-    ``(ChunkPair, scores, classes, distances)`` tuples whose target indices
-    must partition ``0..n1-1`` exactly. Returns a
-    :class:`~otcd.detection.ChangeMap`; its ``distances`` field is ``None``
-    unless every part supplied distances.
-
-    Raises:
-        ValueError: duplicated or missing target index, or a per-chunk
-            array whose length does not match the chunk.
-    """
-    from .detection import ChangeMap  # deferred: detection builds on chunking
-
-    scores = np.empty(n1, dtype=np.float64)
-    classes = np.empty(n1, dtype=np.int64)
-    distances = np.empty(n1, dtype=np.float64)
-    have_distances = True
-    seen = np.zeros(n1, dtype=bool)
-    for part in parts:
-        chunk, part_scores, part_classes = part[0], part[1], part[2]
-        part_dist = part[3] if len(part) > 3 else None
-        tgt = chunk.target_indices
-        if len(part_scores) != len(tgt) or len(part_classes) != len(tgt):
-            raise ValueError(
-                f"chunk {chunk.chunk_id}: result length does not match its "
-                f"{len(tgt)} target points"
-            )
-        if tgt.size and tgt.max() >= n1:
-            raise ValueError(
-                f"chunk {chunk.chunk_id}: target index {tgt.max()} >= n1={n1}"
-            )
-        dup = seen[tgt]
-        if dup.any():
-            raise ValueError(
-                f"target index {tgt[dup][0]} covered by more than one chunk"
-            )
-        seen[tgt] = True
-        scores[tgt] = part_scores
-        classes[tgt] = part_classes
-        if part_dist is None:
-            have_distances = False
-        else:
-            distances[tgt] = part_dist
-    if not seen.all():
-        raise ValueError(
-            f"target index {np.flatnonzero(~seen)[0]} not covered by any chunk"
-        )
-    return ChangeMap(
-        scores=scores,
-        classes=classes,
-        distances=distances if have_distances else None,
-    )
-
-
 @dataclass(frozen=True)
 class ChunkStats:
     count: int

@@ -56,7 +56,7 @@ EXIT_STRICT = 3
 
 # empirical defaults; see README for how they were chosen
 DEFAULT_EPSILON_REL = 0.01
-DEFAULT_RHO = 20.0
+DEFAULT_RHO = 1000.0
 DEFAULT_TAU_GRID = "0.5:10:0.5"
 
 _METHOD_ALIASES = {
@@ -99,12 +99,6 @@ def _add_solver_flags(p: _Parser) -> None:
     )
     p.add_argument("--max-iter", type=int, default=5000)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument(
-        "--log-domain",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run the solver in the numerically stable log domain",
-    )
 
 
 def _add_method_flags(p: _Parser) -> None:
@@ -219,7 +213,6 @@ def _solver_config(args) -> SolverConfig:
         rho=args.rho,
         max_iter=args.max_iter,
         tol=args.tol,
-        log_domain=args.log_domain,
     )
 
 
@@ -289,6 +282,21 @@ def _write_json(path: str | None, payload: dict | list) -> None:
         print(text)
 
 
+def _unconverged_chunks(change_map) -> list[int]:
+    return [d.chunk_id for d in change_map.diagnostics if not d.converged]
+
+
+def _strict_exit(unconverged: list[int], strict: bool) -> int:
+    """EXIT_STRICT when --strict is set and a chunk did not converge."""
+    if unconverged and strict:
+        print(
+            f"{len(unconverged)} chunk(s) did not converge (--strict)",
+            file=sys.stderr,
+        )
+        return EXIT_STRICT
+    return EXIT_OK
+
+
 def _cmd_detect(args) -> int:
     cfg = _detection_config(args, tau=args.tau)
     pc0 = _load_cloud(args.t0)
@@ -297,7 +305,7 @@ def _cmd_detect(args) -> int:
     change_map = detect_changes(pc0, pc1, cfg)
     wall_ms = (time.perf_counter() - start) * 1e3
     write_ply_scored(args.output, pc1, change_map.scores, change_map.classes)
-    unconverged = [d.chunk_id for d in change_map.diagnostics if not d.converged]
+    unconverged = _unconverged_chunks(change_map)
     _write_json(
         _diag_path(args.output),
         {
@@ -309,13 +317,7 @@ def _cmd_detect(args) -> int:
             "chunks": [d.to_dict() for d in change_map.diagnostics],
         },
     )
-    if unconverged and args.strict:
-        print(
-            f"{len(unconverged)} chunk(s) did not converge (--strict)",
-            file=sys.stderr,
-        )
-        return EXIT_STRICT
-    return EXIT_OK
+    return _strict_exit(unconverged, args.strict)
 
 
 def _cmd_sweep(args) -> int:
@@ -338,14 +340,7 @@ def _cmd_sweep(args) -> int:
         ],
     }
     _write_json(args.output, payload)
-    unconverged = [d.chunk_id for d in change_map.diagnostics if not d.converged]
-    if unconverged and args.strict:
-        print(
-            f"{len(unconverged)} chunk(s) did not converge (--strict)",
-            file=sys.stderr,
-        )
-        return EXIT_STRICT
-    return EXIT_OK
+    return _strict_exit(_unconverged_chunks(change_map), args.strict)
 
 
 def _cmd_eval(args) -> int:

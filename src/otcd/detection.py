@@ -16,12 +16,12 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .chunking import ChunkingConfig, ChunkPair, build_chunks, merge_scores
+from .chunking import ChunkingConfig, ChunkPair, build_chunks
 from .io import CLASS_DEMOLISHED, CLASS_NEW, CLASS_UNCHANGED, PointCloud
 from .solver import (
     SolverConfig,
@@ -77,15 +77,7 @@ class ChunkDiagnostics:
     peak_bytes_estimate: int
 
     def to_dict(self) -> dict:
-        return {
-            "chunk_id": self.chunk_id,
-            "n0": self.n0,
-            "n1": self.n1,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "wall_ms": self.wall_ms,
-            "peak_bytes_estimate": self.peak_bytes_estimate,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -94,22 +86,65 @@ class ChangeMap:
 
     ``scores`` are signed vertical residuals in meters (``+inf`` sentinel
     for unreached points); ``classes`` follow the score/tau rule;
-    ``distances`` are unsigned 3D projection distances when available.
+    ``distances`` are unsigned 3D projection distances (``+inf`` where
+    unreached).
     """
 
     scores: np.ndarray
     classes: np.ndarray
-    distances: np.ndarray | None = None
+    distances: np.ndarray
     diagnostics: list[ChunkDiagnostics] | None = None
 
     def __post_init__(self) -> None:
         if len(self.scores) != len(self.classes):
             raise ValueError("scores and classes lengths differ")
-        if self.distances is not None and len(self.distances) != len(self.scores):
+        if len(self.distances) != len(self.scores):
             raise ValueError("distances length differs from scores")
 
     def __len__(self) -> int:
         return len(self.scores)
+
+
+def merge_scores(parts, n1: int) -> ChangeMap:
+    """Reassemble per-chunk target results into whole-cloud arrays.
+
+    ``parts`` is an iterable of ``(ChunkPair, scores, classes, distances)``
+    tuples whose target indices must partition ``0..n1-1`` exactly.
+
+    Raises:
+        ValueError: duplicated or missing target index, or a per-chunk
+            array whose length does not match the chunk.
+    """
+    scores = np.empty(n1, dtype=np.float64)
+    classes = np.empty(n1, dtype=np.int64)
+    distances = np.empty(n1, dtype=np.float64)
+    seen = np.zeros(n1, dtype=bool)
+    for chunk, part_scores, part_classes, part_distances in parts:
+        tgt = chunk.target_indices
+        lengths = {len(part_scores), len(part_classes), len(part_distances)}
+        if lengths != {len(tgt)}:
+            raise ValueError(
+                f"chunk {chunk.chunk_id}: result length does not match its "
+                f"{len(tgt)} target points"
+            )
+        if tgt.size and tgt.max() >= n1:
+            raise ValueError(
+                f"chunk {chunk.chunk_id}: target index {tgt.max()} >= n1={n1}"
+            )
+        dup = seen[tgt]
+        if dup.any():
+            raise ValueError(
+                f"target index {tgt[dup][0]} covered by more than one chunk"
+            )
+        seen[tgt] = True
+        scores[tgt] = part_scores
+        classes[tgt] = part_classes
+        distances[tgt] = part_distances
+    if not seen.all():
+        raise ValueError(
+            f"target index {np.flatnonzero(~seen)[0]} not covered by any chunk"
+        )
+    return ChangeMap(scores=scores, classes=classes, distances=distances)
 
 
 def pointwise_scores(
@@ -199,7 +234,7 @@ def _solve_chunk(
     if cfg.method == METHOD_NN_BASELINE or chunk.source_empty:
         peak = 40 * (n0 + n1)
     else:
-        peak = dense_solve_bytes(n0, n1, cfg.solver.log_domain)
+        peak = dense_solve_bytes(n0, n1)
     diag = ChunkDiagnostics(
         chunk_id=chunk.chunk_id,
         n0=n0,

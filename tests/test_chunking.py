@@ -9,8 +9,8 @@ from otcd.chunking import (
     ChunkPair,
     build_chunks,
     chunk_stats,
-    merge_scores,
 )
+from otcd.detection import merge_scores
 from otcd.io import BoundingBox, PointCloud
 
 
@@ -185,16 +185,15 @@ class TestMergeScores:
     def test_identity_reassembly(self):
         chunk = _unit_chunk([0, 1, 2])
         out = merge_scores(
-            [(chunk, np.array([1.0, 2.0, 3.0]), np.array([0, 1, 2]))], 3
+            [(chunk, np.array([1.0, 2.0, 3.0]), np.array([0, 1, 2]), np.zeros(3))], 3
         )
         np.testing.assert_array_equal(out.scores, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(out.classes, [0, 1, 2])
-        assert out.distances is None
 
     def test_interleaved_scatter(self):
         parts = [
-            (_unit_chunk([0, 2], 0), np.array([10.0, 30.0]), np.array([1, 1])),
-            (_unit_chunk([1, 3], 1), np.array([20.0, 40.0]), np.array([2, 2])),
+            (_unit_chunk([0, 2], 0), np.array([10.0, 30.0]), [1, 1], np.zeros(2)),
+            (_unit_chunk([1, 3], 1), np.array([20.0, 40.0]), [2, 2], np.zeros(2)),
         ]
         out = merge_scores(parts, 4)
         np.testing.assert_array_equal(out.scores, [10.0, 20.0, 30.0, 40.0])
@@ -214,19 +213,19 @@ class TestMergeScores:
 
     def test_overlap_rejected(self):
         parts = [
-            (_unit_chunk([0, 1], 0), np.zeros(2), np.zeros(2, dtype=int)),
-            (_unit_chunk([1, 2], 1), np.zeros(2), np.zeros(2, dtype=int)),
+            (_unit_chunk([0, 1], 0), np.zeros(2), np.zeros(2), np.zeros(2)),
+            (_unit_chunk([1, 2], 1), np.zeros(2), np.zeros(2), np.zeros(2)),
         ]
         with pytest.raises(ValueError, match="more than one"):
             merge_scores(parts, 3)
 
     def test_missing_index_rejected(self):
-        parts = [(_unit_chunk([0, 2], 0), np.zeros(2), np.zeros(2, dtype=int))]
+        parts = [(_unit_chunk([0, 2], 0), np.zeros(2), np.zeros(2), np.zeros(2))]
         with pytest.raises(ValueError, match="not covered"):
             merge_scores(parts, 3)
 
     def test_length_mismatch_rejected(self):
-        parts = [(_unit_chunk([0, 1], 0), np.zeros(1), np.zeros(1, dtype=int))]
+        parts = [(_unit_chunk([0, 1], 0), np.zeros(1), np.zeros(1), np.zeros(1))]
         with pytest.raises(ValueError, match="length"):
             merge_scores(parts, 2)
 

@@ -6,8 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from otcd.cli import EXIT_DATA, EXIT_OK, EXIT_STRICT, EXIT_USAGE, run
-from otcd.io import read_ply, read_xyz, write_xyz
+from otcd.cli import (
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_STRICT,
+    EXIT_USAGE,
+    _build_parser,
+    _detection_config,
+    run,
+)
+from otcd.io import PointCloud, read_ply, read_xyz, write_xyz
 from otcd.synth import Building, SceneSpec, generate_pair
 
 
@@ -116,6 +124,31 @@ class TestDetect:
 
     def test_usage_error_on_unknown_command(self):
         assert run(["frobnicate"]) == EXIT_USAGE
+
+    def test_single_point_chunk_with_zero_median_cost(self, tmp_path):
+        # the isolated point lands alone in a 1x1 chunk whose only cost is 0
+        rng = np.random.default_rng(3)
+        xyz = np.column_stack(
+            [rng.uniform(0, 10, 50), rng.uniform(0, 10, 50), rng.uniform(0, 1, 50)]
+        )
+        xyz = np.vstack([xyz, [100.0, 100.0, 0.5]])
+        t0, t1 = str(tmp_path / "t0.xyz"), str(tmp_path / "t1.xyz")
+        write_xyz(t0, PointCloud(xyz=xyz))
+        write_xyz(t1, PointCloud(xyz=xyz))
+        out = str(tmp_path / "o.ply")
+        code = run(
+            ["detect", "--t0", t0, "--t1", t1, "--tau", "2.0",
+             "--point-cap", "20", "-o", out]
+        )
+        assert code == EXIT_OK
+        _, _, classes = read_ply(out)
+        assert (classes == 0).all()
+
+    def test_detect_default_rho(self):
+        args = _build_parser().parse_args(
+            ["detect", "--t0", "a.xyz", "--t1", "b.xyz", "--tau", "2", "-o", "o.ply"]
+        )
+        assert _detection_config(args, tau=args.tau).solver.rho == 1000.0
 
 
 class TestSweepAndEval:

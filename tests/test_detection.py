@@ -184,13 +184,25 @@ class TestDetectChanges:
         np.testing.assert_allclose(moved.scores - base.scores, h, atol=1e-6)
 
     def test_worker_count_does_not_change_results(self):
-        spec = SceneSpec(extent=20.0, ground_density=4.0, noise_sigma_z=0.05, seed=8)
-        pc0, pc1 = generate_pair(spec)
-        cfg = _cfg(tau=1.0, cap=300)
-        serial = detect_changes(pc0, pc1, replace(cfg, workers=1))
-        threaded = detect_changes(pc0, pc1, replace(cfg, workers=4))
-        np.testing.assert_array_equal(serial.scores, threaded.scores)
-        np.testing.assert_array_equal(serial.classes, threaded.classes)
+        cases = [
+            (20.0, METHOD_UNBALANCED_OT, 300, 4, 2000),
+            # four chunks of about 1150x1150 points, large enough for
+            # multi-threaded BLAS mat-vecs, had the solver used them; a
+            # short sweep budget keeps the test fast and changes nothing
+            # about determinism
+            (34.0, METHOD_UNBALANCED_OT, 2500, 2, 200),
+            (34.0, METHOD_BALANCED_OT, 2500, 2, 200),
+        ]
+        for extent, method, cap, workers, max_iter in cases:
+            spec = SceneSpec(
+                extent=extent, ground_density=4.0, noise_sigma_z=0.05, seed=8
+            )
+            pc0, pc1 = generate_pair(spec)
+            cfg = _cfg(method=method, tau=1.0, cap=cap, max_iter=max_iter)
+            serial = detect_changes(pc0, pc1, replace(cfg, workers=1))
+            threaded = detect_changes(pc0, pc1, replace(cfg, workers=workers))
+            np.testing.assert_array_equal(serial.scores, threaded.scores)
+            np.testing.assert_array_equal(serial.classes, threaded.classes)
 
     def test_source_free_region_classified_new(self):
         # epoch 0 only in one corner; far targets have no sources in range

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
+from otcd import solver
 from otcd.solver import (
     SolverConfig,
-    SolverNumericalError,
     TransportPlan,
     barycentric_projection,
     cost_matrix,
@@ -16,6 +17,23 @@ from otcd.solver import (
     sinkhorn_balanced,
     sinkhorn_unbalanced,
 )
+
+
+def _log_sum_exp_sinkhorn(C, eps, rho=None, max_iter=20000, tol=1e-14):
+    """Textbook log-sum-exp Sinkhorn with the damped source update, the
+    reference the stabilized solver is checked against on converged plans."""
+    n0, n1 = C.shape
+    damping = 1.0 if rho is None else rho / (rho + eps)
+    f = np.zeros(n0)
+    for _ in range(max_iter):
+        g = -np.log(n1) - logsumexp(f[:, None] - C / eps, axis=0)
+        f_next = damping * (-np.log(n0) - logsumexp(g[None, :] - C / eps, axis=1))
+        done = np.abs(f_next - f).max() <= tol
+        f = f_next
+        if done:
+            break
+    g = -np.log(n1) - logsumexp(f[:, None] - C / eps, axis=0)
+    return np.exp(f[:, None] + g[None, :] - C / eps)
 
 
 def _uniform_violations(plan: TransportPlan) -> tuple[float, float]:
@@ -125,21 +143,22 @@ class TestSinkhornBalanced:
         assert row <= 1e-8
         assert col <= 1e-12
 
-    def test_log_and_scaling_domains_agree(self):
+    def test_matches_log_sum_exp_reference(self):
         rng = np.random.default_rng(5)
         C = rng.random((9, 11))
-        base = dict(epsilon=0.05, max_iter=5000, tol=1e-12)
-        p_log = sinkhorn_balanced(C, SolverConfig(**base))
-        p_std = sinkhorn_balanced(C, SolverConfig(**base, log_domain=False))
-        np.testing.assert_allclose(p_log.coupling, p_std.coupling, atol=1e-9)
+        plan = sinkhorn_balanced(C, SolverConfig(epsilon=0.05, tol=1e-12))
+        assert plan.converged
+        reference = _log_sum_exp_sinkhorn(C, 0.05)
+        np.testing.assert_allclose(plan.coupling, reference, atol=1e-9)
 
-    def test_scaling_domain_underflow_raises_with_advice(self):
+    def test_tiny_epsilon_gives_finite_plan_with_exact_columns(self):
+        # C / epsilon reaches 1.5e4, far past where exp(-C / epsilon)
+        # underflows
         rng = np.random.default_rng(6)
         C = rng.random((12, 12)) + 0.5
-        with pytest.raises(SolverNumericalError, match="log_domain"):
-            sinkhorn_balanced(
-                C, SolverConfig(epsilon=1e-4, log_domain=False, max_iter=50)
-            )
+        plan = sinkhorn_balanced(C, SolverConfig(epsilon=1e-4, max_iter=50))
+        assert np.isfinite(plan.coupling).all()
+        np.testing.assert_allclose(plan.col_marginal, np.full(12, 1 / 12), atol=1e-15)
 
     def test_nonconvergence_reported_not_raised(self):
         rng = np.random.default_rng(7)
@@ -217,6 +236,20 @@ class TestSinkhornUnbalanced:
         assert plan.row_marginal[1] < 1e-6
         assert objective(p_solver) <= direct.fun + 1e-9
 
+    def test_destroyed_row_survives_absorption(self, monkeypatch):
+        # a bound just above 1 absorbs the scalings on almost every sweep,
+        # after the far source's scaling has underflowed to 0
+        monkeypatch.setattr(solver, "_ABSORB_BOUND", 1.0 + 1e-9)
+        X0 = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
+        X1 = np.array([[0.0, 0.0, 0.0]])
+        plan = sinkhorn_unbalanced(
+            cost_matrix(X0, X1), SolverConfig(epsilon=0.1, rho=0.1)
+        )
+        assert plan.converged
+        assert np.isfinite(plan.coupling).all()
+        np.testing.assert_allclose(plan.col_marginal, [1.0], atol=1e-12)
+        assert plan.row_marginal[1] == 0.0
+
     def test_large_rho_recovers_balanced_plan(self):
         rng = np.random.default_rng(10)
         C = rng.random((12, 15))
@@ -249,13 +282,24 @@ class TestSinkhornUnbalanced:
         with pytest.raises(ValueError, match="rho"):
             sinkhorn_unbalanced(np.eye(2), SolverConfig(epsilon=0.1))
 
-    def test_log_and_scaling_domains_agree(self):
+    def test_matches_log_sum_exp_reference(self):
         rng = np.random.default_rng(12)
         C = rng.random((7, 7))
-        base = dict(epsilon=0.05, rho=0.3, max_iter=20000, tol=1e-12)
-        p_log = sinkhorn_unbalanced(C, SolverConfig(**base))
-        p_std = sinkhorn_unbalanced(C, SolverConfig(**base, log_domain=False))
-        np.testing.assert_allclose(p_log.coupling, p_std.coupling, atol=1e-9)
+        cfg = SolverConfig(epsilon=0.05, rho=0.3, max_iter=20000, tol=1e-12)
+        plan = sinkhorn_unbalanced(C, cfg)
+        assert plan.converged
+        reference = _log_sum_exp_sinkhorn(C, 0.05, rho=0.3)
+        np.testing.assert_allclose(plan.coupling, reference, atol=1e-9)
+
+    def test_absorbing_every_sweep_leaves_the_plan_unchanged(self, monkeypatch):
+        monkeypatch.setattr(solver, "_ABSORB_BOUND", 1.0 + 1e-9)
+        rng = np.random.default_rng(12)
+        C = rng.random((7, 7))
+        cfg = SolverConfig(epsilon=0.05, rho=0.3, max_iter=20000, tol=1e-12)
+        plan = sinkhorn_unbalanced(C, cfg)
+        assert plan.converged
+        reference = _log_sum_exp_sinkhorn(C, 0.05, rho=0.3)
+        np.testing.assert_allclose(plan.coupling, reference, atol=1e-9)
 
 
 class TestLpExactSmall:
