@@ -97,27 +97,22 @@ def _add_solver_flags(p: _Parser) -> None:
         help="KL penalty weight on the source marginal (unbalanced OT), "
         f"squared meters (default {DEFAULT_RHO})",
     )
-    p.add_argument("--max-iter", type=int, default=5000)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
 
 
 def _add_method_flags(p: _Parser) -> None:
     p.add_argument(
         "--method",
         choices=sorted(set(_METHOD_ALIASES)),
-        default=None,
+        default="uot",
         help="uot (default), ot, or nn",
-    )
-    p.add_argument(
-        "--balanced",
-        action="store_true",
-        help="shorthand for --method ot",
     )
 
 
 def _add_chunking_flags(p: _Parser) -> None:
-    p.add_argument("--point-cap", type=int, default=30_000)
-    p.add_argument("--halo", type=float, default=0.0)
+    p.add_argument("--point-cap", type=int, default=ChunkingConfig.point_cap)
+    p.add_argument("--halo", type=float, default=ChunkingConfig.halo_margin)
 
 
 def _add_run_flags(p: _Parser) -> None:
@@ -193,15 +188,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_method(args) -> str:
-    if args.method is not None:
-        method = _METHOD_ALIASES[args.method]
-        if args.balanced and method != METHOD_BALANCED_OT:
-            raise _UsageError("--balanced conflicts with --method " + args.method)
-        return method
-    return METHOD_BALANCED_OT if args.balanced else METHOD_UNBALANCED_OT
-
-
 def _solver_config(args) -> SolverConfig:
     epsilon = getattr(args, "epsilon", None)
     epsilon_rel = getattr(args, "epsilon_rel", None)
@@ -221,7 +207,7 @@ def _detection_config(args, tau: float) -> ChangeDetectionConfig:
         solver=_solver_config(args),
         chunking=ChunkingConfig(point_cap=args.point_cap, halo_margin=args.halo),
         tau=tau,
-        method=_resolve_method(args),
+        method=_METHOD_ALIASES[args.method],
         workers=args.workers,
     )
 
@@ -241,7 +227,9 @@ def _load_cloud(path: str, want_labels: bool = False) -> PointCloud:
 
 
 def _sniff_label_column(path: str) -> bool:
-    with open(path, "r", encoding="utf-8") as fh:
+    # decoded as read_xyz decodes, so bytes that are not UTF-8 reach its
+    # line-numbered errors
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -7,13 +7,16 @@ Formats handled here:
   properties, plus optional ``change_score`` (float) and ``change_class``
   (uchar) written by :func:`write_ply_scored`.
 
-All functions are pure and operate on immutable inputs; no shared state.
+Readers return fresh arrays and never modify their inputs; writers create or
+overwrite the file they are given. No module state is shared.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -120,62 +123,27 @@ def read_xyz(path: str | os.PathLike, has_label: bool = False) -> PointCloud:
             out-of-range label, always with the 1-based line number; also
             when the file contains no points.
     """
-    want = 4 if has_label else 3
-    rows: list[tuple[float, float, float]] = []
-    labels: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split()
-            if len(fields) != want:
-                raise PointCloudFormatError(
-                    f"{path}:{lineno}: expected {want} fields, got {len(fields)}"
-                )
-            try:
-                x, y, z = float(fields[0]), float(fields[1]), float(fields[2])
-            except ValueError as exc:
-                raise PointCloudFormatError(
-                    f"{path}:{lineno}: non-numeric coordinate: {exc}"
-                ) from None
-            if not (np.isfinite(x) and np.isfinite(y) and np.isfinite(z)):
-                raise PointCloudFormatError(
-                    f"{path}:{lineno}: non-finite coordinate"
-                )
-            if has_label:
-                try:
-                    label = int(fields[3])
-                except ValueError:
-                    raise PointCloudFormatError(
-                        f"{path}:{lineno}: label {fields[3]!r} is not an integer"
-                    ) from None
-                if label not in VALID_CLASSES:
-                    raise PointCloudFormatError(
-                        f"{path}:{lineno}: label {label} outside {VALID_CLASSES}"
-                    )
-                labels.append(label)
-            rows.append((x, y, z))
-    if not rows:
+    with _open_text(path) as fh:
+        table, linenos = _read_rows(
+            path, fh, 1, 4 if has_label else 3, comments=True
+        )
+    if not len(table):
         raise PointCloudFormatError(f"{path}: no points found")
-    return PointCloud(
-        xyz=np.array(rows, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64) if has_label else None,
-        epoch_tag=os.path.basename(str(path)),
-    )
+    xyz = np.ascontiguousarray(table[:, :3])
+    bad = ~np.isfinite(xyz).all(axis=1)
+    _reject_rows(path, bad, linenos, xyz, "non-finite coordinate")
+    labels = _class_column(path, table[:, 3], linenos, "label") if has_label else None
+    return PointCloud(xyz=xyz, labels=labels, epoch_tag=os.path.basename(str(path)))
 
 
 def write_xyz(path: str | os.PathLike, cloud: PointCloud) -> None:
     """Write ``x y z [label]`` lines; the label column appears when present."""
+    columns, fmt = [cloud.xyz], [_COORD_FMT] * 3
+    if cloud.labels is not None:
+        columns.append(cloud.labels)
+        fmt.append("%d")
     with open(path, "w", encoding="utf-8") as fh:
-        if cloud.labels is None:
-            for x, y, z in cloud.xyz:
-                fh.write(f"{_COORD_FMT % x} {_COORD_FMT % y} {_COORD_FMT % z}\n")
-        else:
-            for (x, y, z), lab in zip(cloud.xyz, cloud.labels):
-                fh.write(
-                    f"{_COORD_FMT % x} {_COORD_FMT % y} {_COORD_FMT % z} {lab}\n"
-                )
+        np.savetxt(fh, np.column_stack(columns), fmt=fmt)
 
 
 def write_ply_scored(
@@ -210,11 +178,11 @@ def write_ply_scored(
         fh.write("property float change_score\n")
         fh.write("property uchar change_class\n")
         fh.write("end_header\n")
-        for (x, y, z), s, c in zip(cloud.xyz, scores, classes):
-            fh.write(
-                f"{_COORD_FMT % x} {_COORD_FMT % y} {_COORD_FMT % z} "
-                f"{_SCORE_FMT % s} {c}\n"
-            )
+        np.savetxt(
+            fh,
+            np.column_stack([cloud.xyz, scores, classes]),
+            fmt=[_COORD_FMT] * 3 + [_SCORE_FMT, "%d"],
+        )
 
 
 def read_ply(
@@ -227,10 +195,11 @@ def read_ply(
 
     Raises:
         PointCloudFormatError: missing/invalid header, binary encoding,
-            non-vertex elements, or a vertex count that does not match the
-            data section.
+            non-vertex elements, a malformed data row, or a vertex count
+            that does not match the data section; every error on a header
+            or data line names its 1-based line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         first = fh.readline().strip()
         if first != "ply":
             raise PointCloudFormatError(f"{path}: missing 'ply' header")
@@ -238,8 +207,8 @@ def read_ply(
         prop_names: list[str] = []
         saw_format = False
         in_vertex_element = False
-        for line in fh:
-            tokens = line.strip().split()
+        for lineno, line in enumerate(fh, start=2):
+            tokens = line.split()
             if not tokens:
                 continue
             keyword = tokens[0]
@@ -248,28 +217,34 @@ def read_ply(
             if keyword == "format":
                 if tokens[1:] != ["ascii", "1.0"]:
                     raise PointCloudFormatError(
-                        f"{path}: only 'format ascii 1.0' is supported, "
+                        f"{path}:{lineno}: only 'format ascii 1.0' is supported, "
                         f"got {' '.join(tokens[1:])!r}"
                     )
                 saw_format = True
             elif keyword == "element":
-                if tokens[1] != "vertex" or n_vertices is not None:
+                if tokens[1:2] != ["vertex"] or n_vertices is not None:
                     raise PointCloudFormatError(
-                        f"{path}: only a single 'vertex' element is supported"
+                        f"{path}:{lineno}: only a single 'vertex' element is supported"
                     )
-                n_vertices = int(tokens[2])
+                count = tokens[2] if len(tokens) == 3 else ""
+                if not (count.isascii() and count.isdigit()):
+                    raise PointCloudFormatError(
+                        f"{path}:{lineno}: 'element vertex' needs one non-negative "
+                        f"integer count, got {' '.join(tokens[2:])!r}"
+                    )
+                n_vertices = int(count)
                 in_vertex_element = True
             elif keyword == "property":
                 if not in_vertex_element:
                     raise PointCloudFormatError(
-                        f"{path}: property declared outside the vertex element"
+                        f"{path}:{lineno}: property declared outside the vertex element"
                     )
                 prop_names.append(tokens[-1])
             elif keyword == "end_header":
                 break
             else:
                 raise PointCloudFormatError(
-                    f"{path}: unsupported header keyword {keyword!r}"
+                    f"{path}:{lineno}: unsupported header keyword {keyword!r}"
                 )
         else:
             raise PointCloudFormatError(f"{path}: unterminated header")
@@ -278,37 +253,80 @@ def read_ply(
         for name in ("x", "y", "z"):
             if name not in prop_names:
                 raise PointCloudFormatError(f"{path}: missing property {name!r}")
+        table, linenos = _read_rows(
+            path, fh, lineno + 1, len(prop_names), comments=False
+        )
 
-        data_rows: list[list[float]] = []
-        for line in fh:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            fields = stripped.split()
-            if len(fields) != len(prop_names):
-                raise PointCloudFormatError(
-                    f"{path}: vertex row has {len(fields)} values, "
-                    f"expected {len(prop_names)}"
-                )
-            data_rows.append([float(v) for v in fields])
-        if len(data_rows) != n_vertices:
-            raise PointCloudFormatError(
-                f"{path}: header declares {n_vertices} vertices, "
-                f"found {len(data_rows)} data rows"
-            )
-
-    table = np.array(data_rows, dtype=np.float64).reshape(n_vertices, len(prop_names))
+    if len(table) != n_vertices:
+        raise PointCloudFormatError(
+            f"{path}: header declares {n_vertices} vertices, "
+            f"found {len(table)} data rows"
+        )
     col = {name: i for i, name in enumerate(prop_names)}
     xyz = table[:, [col["x"], col["y"], col["z"]]]
-    if not np.isfinite(xyz).all():
-        raise PointCloudFormatError(f"{path}: non-finite vertex coordinate")
+    bad = ~np.isfinite(xyz).all(axis=1)
+    _reject_rows(path, bad, linenos, xyz, "non-finite coordinate")
     scores = table[:, col["change_score"]] if "change_score" in col else None
     classes = None
     if "change_class" in col:
-        classes = table[:, col["change_class"]].astype(np.int64)
-        if not np.isin(classes, VALID_CLASSES).all():
-            raise PointCloudFormatError(
-                f"{path}: change_class values outside {VALID_CLASSES}"
-            )
+        classes = _class_column(
+            path, table[:, col["change_class"]], linenos, "change_class"
+        )
     cloud = PointCloud(xyz=xyz, epoch_tag=os.path.basename(str(path)))
     return cloud, scores, classes
+
+
+def _open_text(path: str | os.PathLike):
+    # bytes that are not UTF-8 decode to lone surrogates, which no number or
+    # header keyword accepts, so they end in a line-numbered format error
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def _read_rows(
+    path: str | os.PathLike,
+    lines: Iterable[str],
+    first_lineno: int,
+    ncols: int,
+    comments: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parse whitespace-separated numeric rows of ``ncols`` fields.
+
+    Blank lines are skipped, and so are lines starting with ``#`` when
+    ``comments``. Returns the (n, ncols) float64 table and the 1-based file
+    line of each row; ``lines`` starts at file line ``first_lineno``.
+    """
+    values = array("d")
+    linenos = array("q")
+    for lineno, line in enumerate(lines, start=first_lineno):
+        fields = line.split()
+        if not fields or (comments and fields[0].startswith("#")):
+            continue
+        if len(fields) != ncols:
+            raise PointCloudFormatError(
+                f"{path}:{lineno}: expected {ncols} fields, got {len(fields)}"
+            )
+        try:
+            values.extend(map(float, fields))
+        except ValueError as exc:
+            raise PointCloudFormatError(
+                f"{path}:{lineno}: non-numeric value: {exc}"
+            ) from None
+        linenos.append(lineno)
+    table = np.frombuffer(values, dtype=np.float64).reshape(-1, ncols)
+    return table, np.frombuffer(linenos, dtype=np.int64)
+
+
+def _reject_rows(path, bad: np.ndarray, linenos, values, what: str) -> None:
+    """Raise for the first row flagged in ``bad``, naming its file line."""
+    if bad.any():
+        row = int(bad.argmax())
+        raise PointCloudFormatError(
+            f"{path}:{linenos[row]}: {what}: {values[row].tolist()}"
+        )
+
+
+def _class_column(path, values: np.ndarray, linenos, name: str) -> np.ndarray:
+    """``values`` as int64 class ids; each must be an integer in VALID_CLASSES."""
+    bad = ~np.isin(values, VALID_CLASSES)
+    _reject_rows(path, bad, linenos, values, f"{name} is not one of {VALID_CLASSES}")
+    return values.astype(np.int64)

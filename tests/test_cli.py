@@ -15,7 +15,9 @@ from otcd.cli import (
     _detection_config,
     run,
 )
+from otcd.chunking import ChunkingConfig
 from otcd.io import PointCloud, read_ply, read_xyz, write_xyz
+from otcd.solver import SolverConfig
 from otcd.synth import Building, SceneSpec, generate_pair
 
 
@@ -91,13 +93,6 @@ class TestDetect:
         )
         assert code == EXIT_USAGE
 
-    def test_balanced_conflicts_with_other_method(self, scene_files, tmp_path):
-        t0, t1 = scene_files
-        code = run(
-            _detect_args(t0, t1, str(tmp_path / "x.ply")) + ["--balanced"]
-        )
-        assert code == EXIT_USAGE
-
     def test_missing_input_is_data_error(self, tmp_path):
         code = run(_detect_args("/nonexistent.xyz", "/nope.xyz", str(tmp_path / "o.ply")))
         assert code == EXIT_DATA
@@ -148,7 +143,10 @@ class TestDetect:
         args = _build_parser().parse_args(
             ["detect", "--t0", "a.xyz", "--t1", "b.xyz", "--tau", "2", "-o", "o.ply"]
         )
-        assert _detection_config(args, tau=args.tau).solver.rho == 1000.0
+        cfg = _detection_config(args, tau=args.tau)
+        assert cfg.solver == SolverConfig(epsilon_rel=0.01, rho=1000.0)
+        assert cfg.chunking == ChunkingConfig()
+        assert cfg.method == "unbalanced_ot"
 
 
 class TestSweepAndEval:
@@ -228,6 +226,15 @@ class TestSweepAndEval:
         )
         assert code == EXIT_STRICT
         assert os.path.exists(out)
+
+    def test_eval_rejects_ply_without_vertex_count(self, scene_files, tmp_path):
+        _, t1 = scene_files
+        bad = tmp_path / "bad.ply"
+        bad.write_text(
+            "ply\nformat ascii 1.0\nelement vertex\nproperty float x\nend_header\n"
+        )
+        code = run(["eval", "--scored", str(bad), "--truth", t1])
+        assert code == EXIT_DATA
 
     def test_eval_rejects_unscored_ply(self, scene_files, tmp_path):
         t0, t1 = scene_files

@@ -61,6 +61,28 @@ class TestReadXyz:
         with pytest.raises(PointCloudFormatError):
             read_xyz(path, has_label=True)
 
+    @pytest.mark.parametrize("label", ["1.5", "nan", "-1", "abc"])
+    def test_non_class_label_names_its_line(self, tmp_path, label):
+        path = _write(tmp_path, "a.xyz", f"0 0 0 1\n\n0 0 0 {label}\n")
+        with pytest.raises(PointCloudFormatError, match=r":3:"):
+            read_xyz(path, has_label=True)
+
+    def test_non_numeric_coordinate_names_its_line(self, tmp_path):
+        path = _write(tmp_path, "a.xyz", "0 0 0\n0 x 0\n")
+        with pytest.raises(PointCloudFormatError, match=r":2: non-numeric"):
+            read_xyz(path)
+
+    def test_inline_comment_is_malformed(self, tmp_path):
+        path = _write(tmp_path, "a.xyz", "0 0 0 # note\n")
+        with pytest.raises(PointCloudFormatError, match=r":1: expected 3"):
+            read_xyz(path)
+
+    def test_non_utf8_bytes_name_their_line(self, tmp_path):
+        path = tmp_path / "a.xyz"
+        path.write_bytes(b"0 0 0\n0 0 \xff\n")
+        with pytest.raises(PointCloudFormatError, match=r":2:"):
+            read_xyz(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = _write(tmp_path, "a.xyz", "# nothing\n")
         with pytest.raises(PointCloudFormatError, match="no points"):
@@ -78,6 +100,20 @@ class TestReadXyz:
 
 
 class TestXyzRoundTrip:
+    def test_golden_bytes(self, tmp_path):
+        xyz = np.array(
+            [[0.5, -1.25, 3e-7], [-0.0, 1e6, 123456.789012345], [1e12, 0, -7]]
+        )
+        path = tmp_path / "g.xyz"
+        write_xyz(path, PointCloud(xyz=xyz))
+        assert path.read_bytes() == (
+            b"0.5 -1.25 3e-07\n-0 1000000 123456.789012\n1e+12 0 -7\n"
+        )
+        write_xyz(path, PointCloud(xyz=xyz, labels=np.array([0, 2, 1])))
+        assert path.read_bytes() == (
+            b"0.5 -1.25 3e-07 0\n-0 1000000 123456.789012 2\n1e+12 0 -7 1\n"
+        )
+
     def test_labels_survive(self, tmp_path):
         cloud = PointCloud(
             xyz=np.array([[0.5, -1.25, 3e-7], [1e6, 2.0, -9.75]]),
@@ -145,6 +181,22 @@ class TestPly:
         _, scores, _ = read_ply(path)
         assert math.isinf(scores[0])
 
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "g.ply"
+        write_ply_scored(
+            path,
+            PointCloud(xyz=np.array([[1.0, 2.0, 3.0], [-0.5, -0.0, 1e6], [0, 0, 0]])),
+            np.array([math.inf, -2.5, 0.123456789012]),
+            np.array([1, 2, 0]),
+        )
+        assert path.read_bytes() == (
+            b"ply\nformat ascii 1.0\nelement vertex 3\n"
+            b"property double x\nproperty double y\nproperty double z\n"
+            b"property float change_score\nproperty uchar change_class\n"
+            b"end_header\n"
+            b"1 2 3 inf 1\n-0.5 -0 1000000 -2.5 2\n0 0 0 0.123456789 0\n"
+        )
+
     def test_length_mismatch(self, tmp_path):
         cloud = PointCloud(xyz=np.array([[0.0, 0.0, 0.0]]))
         with pytest.raises(ValueError, match="length"):
@@ -180,6 +232,44 @@ class TestPly:
             "ply\nformat binary_little_endian 1.0\nelement vertex 0\nend_header\n",
         )
         with pytest.raises(PointCloudFormatError, match="ascii"):
+            read_ply(path)
+
+    @pytest.mark.parametrize(
+        "element",
+        ["element vertex", "element vertex abc", "element vertex -1", "element"],
+    )
+    def test_bad_vertex_count_names_its_line(self, tmp_path, element):
+        path = _write(
+            tmp_path,
+            "bad.ply",
+            f"ply\nformat ascii 1.0\n{element}\nproperty float x\nend_header\n",
+        )
+        with pytest.raises(PointCloudFormatError, match=r":3:"):
+            read_ply(path)
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ("0 0 x 1 1", ":11: non-numeric"),
+            ("0 nan 0 1 1", ":11: non-finite"),
+            ("0 0 0 1", ":11: expected 5"),
+            ("0 0 0 1 1.5", ":11: change_class"),
+            ("0 0 0 1 3", ":11: change_class"),
+            ("# 0 0 0 1", ":11: non-numeric"),
+        ],
+    )
+    def test_bad_data_row_names_its_line(self, tmp_path, row, match):
+        path = tmp_path / "bad.ply"
+        write_ply_scored(
+            path,
+            PointCloud(xyz=np.zeros((2, 3))),
+            np.array([0.5, 1.0]),
+            np.array([0, 1]),
+        )
+        lines = path.read_text().splitlines()
+        lines[-1] = row  # the second data row, file line 11
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PointCloudFormatError, match=match):
             read_ply(path)
 
     def test_missing_header(self, tmp_path):
