@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .chunking import ChunkingConfig, ChunkPair, build_chunks
 from .io import CLASS_DEMOLISHED, CLASS_NEW, CLASS_UNCHANGED, PointCloud
@@ -205,6 +204,10 @@ def _ot_chunk_scores(
 def _nn_chunk_scores(
     X0c: np.ndarray, X1c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    # scipy.spatial takes longer to import than most runs take to solve, and
+    # only this baseline needs it
+    from scipy.spatial import cKDTree
+
     distances, idx = cKDTree(X0c).query(X1c, k=1)
     scores = X1c[:, 2] - X0c[idx, 2]
     return scores, distances

@@ -30,6 +30,9 @@ VALID_CLASSES = (CLASS_UNCHANGED, CLASS_NEW, CLASS_DEMOLISHED)
 _COORD_FMT = "%.12g"
 _SCORE_FMT = "%.9g"
 
+# rows that _write_rows formats with one `%`; bounds its temporary strings
+_WRITE_BLOCK_ROWS = 1024
+
 
 class PointCloudFormatError(ValueError):
     """A point-cloud file violates the declared on-disk format."""
@@ -143,7 +146,7 @@ def write_xyz(path: str | os.PathLike, cloud: PointCloud) -> None:
         columns.append(cloud.labels)
         fmt.append("%d")
     with open(path, "w", encoding="utf-8") as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt=fmt)
+        _write_rows(fh, np.column_stack(columns), fmt)
 
 
 def write_ply_scored(
@@ -178,10 +181,10 @@ def write_ply_scored(
         fh.write("property float change_score\n")
         fh.write("property uchar change_class\n")
         fh.write("end_header\n")
-        np.savetxt(
+        _write_rows(
             fh,
             np.column_stack([cloud.xyz, scores, classes]),
-            fmt=[_COORD_FMT] * 3 + [_SCORE_FMT, "%d"],
+            [_COORD_FMT] * 3 + [_SCORE_FMT, "%d"],
         )
 
 
@@ -263,7 +266,7 @@ def read_ply(
             f"found {len(table)} data rows"
         )
     col = {name: i for i, name in enumerate(prop_names)}
-    xyz = table[:, [col["x"], col["y"], col["z"]]]
+    xyz = np.ascontiguousarray(table[:, [col["x"], col["y"], col["z"]]])
     bad = ~np.isfinite(xyz).all(axis=1)
     _reject_rows(path, bad, linenos, xyz, "non-finite coordinate")
     scores = table[:, col["change_score"]] if "change_score" in col else None
@@ -314,6 +317,19 @@ def _read_rows(
         linenos.append(lineno)
     table = np.frombuffer(values, dtype=np.float64).reshape(-1, ncols)
     return table, np.frombuffer(linenos, dtype=np.int64)
+
+
+def _write_rows(fh, table: np.ndarray, fmt: list[str]) -> None:
+    """Write each row of ``table`` as its ``fmt`` fields joined by spaces.
+
+    The bytes equal ``np.savetxt(fh, table, fmt=fmt)``; a block of
+    ``_WRITE_BLOCK_ROWS`` rows is formatted with one ``%`` instead of one
+    per row.
+    """
+    row_fmt = " ".join(fmt) + "\n"
+    for start in range(0, len(table), _WRITE_BLOCK_ROWS):
+        block = table[start : start + _WRITE_BLOCK_ROWS]
+        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _reject_rows(path, bad: np.ndarray, linenos, values, what: str) -> None:

@@ -37,8 +37,9 @@ class Metrics:
     tau_used: float
 
     def to_dict(self) -> dict:
+        # an unset tau (NaN) is JSON null: strict JSON has no NaN literal
         return {
-            "tau": self.tau_used,
+            "tau": None if math.isnan(self.tau_used) else self.tau_used,
             "iou": dict(zip(_CLASS_NAMES, self.iou_per_class)),
             "mean_change_iou": self.mean_change_iou,
         }

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog
 
 # column-mass fraction of a uniform target atom below which a target point
 # counts as unreached by the plan
@@ -387,6 +386,8 @@ def lp_exact_small(
     for j in range(n1):
         A_eq[n0 + j, j::n1] = 1.0
     b_eq = np.concatenate([mu0, mu1])
+    from scipy.optimize import linprog  # test oracle only; slow to import
+
     res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"LP oracle failed: {res.message}")

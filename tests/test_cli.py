@@ -40,6 +40,15 @@ def scene_files(tmp_path_factory):
     return str(t0), str(t1)
 
 
+def _strict_json(text):
+    """``json.loads`` that rejects the non-RFC 8259 NaN/Infinity literals."""
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def _detect_args(t0, t1, out, *extra):
     return [
         "detect",
@@ -191,17 +200,21 @@ class TestSweepAndEval:
         taus = [row["tau"] for row in json.loads(open(out).read())["sweep"]]
         assert taus == [1.0, 2.0, 3.0]
 
-    def test_detect_then_eval_matches_sweep_point(self, scene_files, tmp_path):
+    def test_detect_then_eval_matches_sweep_point(self, scene_files, tmp_path, capsys):
         t0, t1 = scene_files
         ply = str(tmp_path / "d.ply")
         assert run(_detect_args(t0, t1, ply)) == EXIT_OK
+        capsys.readouterr()
 
         eval_out = str(tmp_path / "eval.json")
         assert (
             run(["eval", "--scored", ply, "--truth", t1, "-o", eval_out])
             == EXIT_OK
         )
-        eval_payload = json.loads(open(eval_out).read())
+        eval_payload = _strict_json(open(eval_out).read())
+        # without --tau the file's own classes are scored and tau is null
+        assert eval_payload["tau"] is None
+        assert _strict_json(capsys.readouterr().out) == eval_payload
 
         sweep_out = str(tmp_path / "s.json")
         assert (
@@ -299,16 +312,55 @@ class TestBench:
         assert run(["bench", "--sizes", "abc"]) == EXIT_USAGE
 
 
-def test_module_entrypoint_smoke(tmp_path):
+def _run_python(*args):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run(
-        [sys.executable, "-m", "otcd", "synth", "--preset", "low_res_low_noise",
-         "--out-prefix", str(tmp_path / "cli")],
-        env=env,
-        capture_output=True,
-        text=True,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True
+    )
+
+
+def test_module_entrypoint_smoke(tmp_path):
+    result = _run_python(
+        "-m", "otcd", "synth", "--preset", "low_res_low_noise",
+        "--out-prefix", str(tmp_path / "cli"),
     )
     assert result.returncode == 0, result.stderr
     assert os.path.exists(str(tmp_path / "cli_t1.xyz"))
+
+
+_SCIPY_PROBE = """
+import json, sys
+import otcd, otcd.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+after_import = scipy_modules()
+t0, t1, out = sys.argv[1:4]
+common = ["--t0", t0, "--t1", t1, "--tau", "4.0", "--point-cap", "300",
+          "--workers", "2", "-o", out]
+uot_code = otcd.cli.run(["detect", "--method", "uot", *common])
+after_uot = scipy_modules()
+nn_code = otcd.cli.run(["detect", "--method", "nn", *common])
+print(json.dumps({"after_import": after_import, "uot_code": uot_code,
+                  "after_uot": after_uot, "nn_code": nn_code,
+                  "cKDTree": "scipy.spatial" in sys.modules}))
+"""
+
+
+def test_scipy_is_loaded_only_by_the_nn_baseline(scene_files, tmp_path):
+    t0, t1 = scene_files
+    out = str(tmp_path / "probe.ply")
+    result = _run_python("-c", _SCIPY_PROBE, t0, t1, out)
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(result.stdout.strip().splitlines()[-1])
+    assert probe["after_import"] == []
+    assert probe["uot_code"] == EXIT_OK
+    assert probe["after_uot"] == []
+    # the nn chunks run on two worker threads, which import cKDTree lazily
+    assert probe["nn_code"] == EXIT_OK
+    assert probe["cKDTree"]
+    diag = json.loads((tmp_path / "probe.diag.json").read_text())
+    assert diag["method"] == "nn_baseline" and diag["n_chunks"] >= 2

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otcd.io
 from otcd.io import (
     BoundingBox,
     PointCloud,
@@ -276,6 +278,83 @@ class TestPly:
         path = _write(tmp_path, "noheader.ply", "0 0 0\n")
         with pytest.raises(PointCloudFormatError, match="ply"):
             read_ply(path)
+
+
+class TestReaderLayout:
+    def test_both_readers_return_c_contiguous_float64_xyz(self, tmp_path):
+        xyz = np.array([[0.5, -1.0, 2.0], [3.0, 4.0, -5.25]])
+        write_xyz(tmp_path / "a.xyz", PointCloud(xyz=xyz))
+        write_ply_scored(
+            tmp_path / "a.ply", PointCloud(xyz=xyz), np.zeros(2), np.zeros(2)
+        )
+        for cloud in (read_xyz(tmp_path / "a.xyz"), read_ply(tmp_path / "a.ply")[0]):
+            assert cloud.xyz.dtype == np.float64
+            assert cloud.xyz.flags.c_contiguous
+            np.testing.assert_array_equal(cloud.xyz, xyz)
+
+
+_BLOCK = 4
+_COORD_FMTS = ["%.12g"] * 3
+
+
+def _savetxt_bytes(table, fmt):
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt=fmt)
+    return buf.getvalue().encode()
+
+
+def _block_edge_columns(n):
+    """Coordinates, scores and classes for ``n`` rows with -0.0, 1e12,
+    negative and infinite scores mixed in."""
+    rng = np.random.default_rng(n)
+    xyz = rng.normal(scale=50.0, size=(n, 3))
+    xyz[::3, 0] = -0.0
+    xyz[1::3, 1] = 1e12
+    scores = rng.normal(scale=5.0, size=n)
+    scores[::2] = -np.abs(scores[::2])
+    scores[1::4] = np.inf
+    return xyz, scores, np.arange(n) % 3
+
+
+class TestWriteRowsBlockEdges:
+    """The writers format rows in blocks; each must equal np.savetxt."""
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(otcd.io, "_WRITE_BLOCK_ROWS", _BLOCK)
+
+    ROWS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_write_xyz_matches_savetxt(self, tmp_path, n):
+        xyz, _, classes = _block_edge_columns(n)
+        path = tmp_path / "w.xyz"
+        write_xyz(path, PointCloud(xyz=xyz))
+        assert path.read_bytes() == _savetxt_bytes(xyz, _COORD_FMTS)
+        write_xyz(path, PointCloud(xyz=xyz, labels=classes))
+        assert path.read_bytes() == _savetxt_bytes(
+            np.column_stack([xyz, classes]), _COORD_FMTS + ["%d"]
+        )
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_write_ply_scored_matches_savetxt(self, tmp_path, n):
+        xyz, scores, classes = _block_edge_columns(n)
+        path = tmp_path / "w.ply"
+        write_ply_scored(path, PointCloud(xyz=xyz), scores, classes)
+        header, body = path.read_bytes().split(b"end_header\n")
+        assert f"element vertex {n}\n".encode() in header
+        assert body == _savetxt_bytes(
+            np.column_stack([xyz, scores, classes]), _COORD_FMTS + ["%.9g", "%d"]
+        )
+
+    def test_zero_vertex_scored_ply_round_trips(self, tmp_path):
+        path = tmp_path / "empty.ply"
+        write_ply_scored(
+            path, PointCloud(xyz=np.empty((0, 3))), np.empty(0), np.empty(0)
+        )
+        cloud, scores, classes = read_ply(path)
+        assert cloud.xyz.shape == (0, 3)
+        assert scores.shape == (0,) and classes.shape == (0,)
 
 
 class TestBoundingBox:
