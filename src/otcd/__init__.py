@@ -40,7 +40,7 @@ from .io import (
     write_ply_scored,
     write_xyz,
 )
-from .metrics import Metrics, confusion, iou, sweep_scores, threshold_sweep
+from .metrics import Metrics, confusion, iou, sweep_scores
 from .solver import (
     SolverConfig,
     SolverNumericalError,
@@ -102,7 +102,6 @@ __all__ = [
     "sinkhorn_balanced",
     "sinkhorn_unbalanced",
     "sweep_scores",
-    "threshold_sweep",
     "write_ply_scored",
     "write_xyz",
 ]

@@ -188,12 +188,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _config(cls, **fields):
+    """Build a config from flag values; a value it rejects is a usage error,
+    reported before any file is read."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _solver_config(args) -> SolverConfig:
     epsilon = getattr(args, "epsilon", None)
     epsilon_rel = getattr(args, "epsilon_rel", None)
     if epsilon is None and epsilon_rel is None:
         epsilon_rel = DEFAULT_EPSILON_REL
-    return SolverConfig(
+    return _config(
+        SolverConfig,
         epsilon=epsilon,
         epsilon_rel=epsilon_rel,
         rho=args.rho,
@@ -202,10 +212,15 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
+def _chunking_config(args) -> ChunkingConfig:
+    return _config(ChunkingConfig, point_cap=args.point_cap, halo_margin=args.halo)
+
+
 def _detection_config(args, tau: float) -> ChangeDetectionConfig:
-    return ChangeDetectionConfig(
+    return _config(
+        ChangeDetectionConfig,
         solver=_solver_config(args),
-        chunking=ChunkingConfig(point_cap=args.point_cap, halo_margin=args.halo),
+        chunking=_chunking_config(args),
         tau=tau,
         method=_METHOD_ALIASES[args.method],
         workers=args.workers,
@@ -239,21 +254,18 @@ def _sniff_label_column(path: str) -> bool:
 
 
 def _parse_tau_grid(spec: str) -> list[float]:
-    spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise _UsageError(f"bad tau grid {spec!r}; want start:stop:step")
-        start, stop, step = (float(v) for v in parts)
-        if step <= 0 or stop < start:
-            raise _UsageError(f"bad tau grid {spec!r}")
-        n = int(round((stop - start) / step))
-        grid = [start + k * step for k in range(n + 1) if start + k * step <= stop + 1e-9]
-        return grid
     try:
-        return [float(v) for v in spec.split(",") if v.strip()]
+        if ":" not in spec:
+            return [float(v) for v in spec.split(",") if v.strip()]
+        start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError:
-        raise _UsageError(f"bad tau grid {spec!r}") from None
+        raise _UsageError(
+            f"bad tau grid {spec!r}; want a comma list or start:stop:step"
+        ) from None
+    if step <= 0 or stop < start:
+        raise _UsageError(f"bad tau grid {spec!r}")
+    n = int(round((stop - start) / step))
+    return [start + k * step for k in range(n + 1) if start + k * step <= stop + 1e-9]
 
 
 def _diag_path(output: str) -> str:
@@ -332,6 +344,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.tau is not None and args.tau <= 0:
+        raise _UsageError(f"--tau must be positive, got {args.tau}")
     cloud, scores, classes = read_ply(args.scored)
     if scores is None or classes is None:
         raise PointCloudFormatError(
@@ -379,9 +393,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_chunk_stats(args) -> int:
+    cfg = _chunking_config(args)
     pc0 = _load_cloud(args.t0)
     pc1 = _load_cloud(args.t1)
-    cfg = ChunkingConfig(point_cap=args.point_cap, halo_margin=args.halo)
     stats = chunk_stats(build_chunks(pc0, pc1, cfg))
     print(json.dumps(stats.to_dict(), indent=2))
     return EXIT_OK
@@ -393,7 +407,8 @@ def _cmd_bench(args) -> int:
     except ValueError:
         raise _UsageError(f"bad --sizes {args.sizes!r}") from None
     rng = np.random.default_rng(args.seed)
-    cfg = SolverConfig(
+    cfg = _config(
+        SolverConfig,
         epsilon_rel=args.epsilon_rel,
         rho=DEFAULT_RHO,
         max_iter=args.iters,

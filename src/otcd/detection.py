@@ -6,8 +6,8 @@ vertical residual between itself and its projection. Positive residuals
 mean structure gained (new), negative mean structure lost (demolished).
 Target points that no source mass reaches carry a ``+inf`` score: under
 mass creation/destruction semantics they are maximal evidence of new
-structure. The unsigned 3D projection distance is kept alongside for
-diagnostics.
+structure. Chunks return scores only; the threshold is applied once, to
+the merged whole-cloud scores.
 """
 
 from __future__ import annotations
@@ -85,43 +85,36 @@ class ChangeMap:
 
     ``scores`` are signed vertical residuals in meters (``+inf`` sentinel
     for unreached points); ``classes`` follow the score/tau rule;
-    ``distances`` are unsigned 3D projection distances (``+inf`` where
-    unreached).
+    ``diagnostics`` hold one record per chunk, in chunk-id order.
     """
 
     scores: np.ndarray
     classes: np.ndarray
-    distances: np.ndarray
-    diagnostics: list[ChunkDiagnostics] | None = None
+    diagnostics: list[ChunkDiagnostics]
 
     def __post_init__(self) -> None:
         if len(self.scores) != len(self.classes):
             raise ValueError("scores and classes lengths differ")
-        if len(self.distances) != len(self.scores):
-            raise ValueError("distances length differs from scores")
 
     def __len__(self) -> int:
         return len(self.scores)
 
 
-def merge_scores(parts, n1: int) -> ChangeMap:
-    """Reassemble per-chunk target results into whole-cloud arrays.
+def merge_scores(parts, n1: int) -> np.ndarray:
+    """Reassemble per-chunk target scores into the whole-cloud score array.
 
-    ``parts`` is an iterable of ``(ChunkPair, scores, classes, distances)``
-    tuples whose target indices must partition ``0..n1-1`` exactly.
+    ``parts`` is an iterable of ``(ChunkPair, scores)`` pairs whose target
+    indices must partition ``0..n1-1`` exactly.
 
     Raises:
         ValueError: duplicated or missing target index, or a per-chunk
             array whose length does not match the chunk.
     """
     scores = np.empty(n1, dtype=np.float64)
-    classes = np.empty(n1, dtype=np.int64)
-    distances = np.empty(n1, dtype=np.float64)
     seen = np.zeros(n1, dtype=bool)
-    for chunk, part_scores, part_classes, part_distances in parts:
+    for chunk, part_scores in parts:
         tgt = chunk.target_indices
-        lengths = {len(part_scores), len(part_classes), len(part_distances)}
-        if lengths != {len(tgt)}:
+        if len(part_scores) != len(tgt):
             raise ValueError(
                 f"chunk {chunk.chunk_id}: result length does not match its "
                 f"{len(tgt)} target points"
@@ -137,26 +130,24 @@ def merge_scores(parts, n1: int) -> ChangeMap:
             )
         seen[tgt] = True
         scores[tgt] = part_scores
-        classes[tgt] = part_classes
-        distances[tgt] = part_distances
     if not seen.all():
         raise ValueError(
             f"target index {np.flatnonzero(~seen)[0]} not covered by any chunk"
         )
-    return ChangeMap(scores=scores, classes=classes, distances=distances)
+    return scores
 
 
 def pointwise_scores(
     projected: np.ndarray,
     reached_mass: np.ndarray,
     X1: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signed vertical residual and 3D distance of each target point to its
-    barycentric projection.
+) -> np.ndarray:
+    """Signed vertical residual of each target point to its barycentric
+    projection.
 
     Rows of ``projected`` that are non-finite (the unreached sentinel of
     :func:`~otcd.solver.barycentric_projection`) or carry no mass score
-    ``+inf`` with an ``+inf`` distance.
+    ``+inf``.
     """
     projected = np.asarray(projected, dtype=np.float64)
     X1 = np.asarray(X1, dtype=np.float64)
@@ -168,11 +159,8 @@ def pointwise_scores(
         )
     unreached = ~np.isfinite(projected).all(axis=1) | (reached_mass <= 0)
     scores = X1[:, 2] - projected[:, 2]
-    diff = projected - X1
-    distances = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     scores[unreached] = UNREACHED_SCORE
-    distances[unreached] = np.inf
-    return scores, distances
+    return scores
 
 
 def classify(scores: np.ndarray, tau: float) -> np.ndarray:
@@ -190,27 +178,23 @@ def classify(scores: np.ndarray, tau: float) -> np.ndarray:
 
 def _ot_chunk_scores(
     X0c: np.ndarray, X1c: np.ndarray, cfg: ChangeDetectionConfig
-) -> tuple[np.ndarray, np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int, bool]:
     C = cost_matrix(X0c, X1c)
     if cfg.method == METHOD_UNBALANCED_OT:
         plan = sinkhorn_unbalanced(C, cfg.solver, overwrite_cost=True)
     else:
         plan = sinkhorn_balanced(C, cfg.solver, overwrite_cost=True)
     projected, mass = barycentric_projection(plan, X0c)
-    scores, distances = pointwise_scores(projected, mass, X1c)
-    return scores, distances, plan.iterations, plan.converged
+    return pointwise_scores(projected, mass, X1c), plan.iterations, plan.converged
 
 
-def _nn_chunk_scores(
-    X0c: np.ndarray, X1c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _nn_chunk_scores(X0c: np.ndarray, X1c: np.ndarray) -> np.ndarray:
     # scipy.spatial takes longer to import than most runs take to solve, and
     # only this baseline needs it
     from scipy.spatial import cKDTree
 
-    distances, idx = cKDTree(X0c).query(X1c, k=1)
-    scores = X1c[:, 2] - X0c[idx, 2]
-    return scores, distances
+    _, idx = cKDTree(X0c).query(X1c, k=1)
+    return X1c[:, 2] - X0c[idx, 2]
 
 
 def _solve_chunk(
@@ -218,27 +202,21 @@ def _solve_chunk(
     pc0: PointCloud,
     pc1: PointCloud,
     cfg: ChangeDetectionConfig,
-):
+) -> tuple[np.ndarray, ChunkDiagnostics]:
     start = time.perf_counter()
+    X0c = pc0.xyz[chunk.source_indices]
     X1c = pc1.xyz[chunk.target_indices]
-    n0, n1 = len(chunk.source_indices), len(chunk.target_indices)
-    iterations, converged = 0, True
+    n0, n1 = len(X0c), len(X1c)
+    iterations, converged, peak = 0, True, 40 * (n0 + n1)
     if chunk.source_empty:
         # nothing can reach these targets; maximal new-structure evidence
         scores = np.full(n1, UNREACHED_SCORE)
-        distances = np.full(n1, np.inf)
     elif cfg.method == METHOD_NN_BASELINE:
-        scores, distances = _nn_chunk_scores(pc0.xyz[chunk.source_indices], X1c)
+        scores = _nn_chunk_scores(X0c, X1c)
     else:
-        scores, distances, iterations, converged = _ot_chunk_scores(
-            pc0.xyz[chunk.source_indices], X1c, cfg
-        )
-    classes = classify(scores, cfg.tau)
-    if cfg.method == METHOD_NN_BASELINE or chunk.source_empty:
-        peak = 40 * (n0 + n1)
-    else:
+        scores, iterations, converged = _ot_chunk_scores(X0c, X1c, cfg)
         peak = dense_solve_bytes(n0, n1)
-    diag = ChunkDiagnostics(
+    return scores, ChunkDiagnostics(
         chunk_id=chunk.chunk_id,
         n0=n0,
         n1=n1,
@@ -247,14 +225,13 @@ def _solve_chunk(
         wall_ms=(time.perf_counter() - start) * 1e3,
         peak_bytes_estimate=peak,
     )
-    return chunk, scores, classes, distances, diag
 
 
 def detect_changes(
     pc0: PointCloud, pc1: PointCloud, cfg: ChangeDetectionConfig
 ) -> ChangeMap:
     """Run the full pipeline: chunk, solve per chunk, project, score,
-    classify, merge.
+    merge, classify.
 
     Chunks are processed by a bounded thread pool; each chunk is
     self-contained, so the result is independent of the worker count and
@@ -269,14 +246,13 @@ def detect_changes(
     if workers == 1 or len(chunks) == 1:
         results = [_solve_chunk(c, pc0, pc1, cfg) for c in chunks]
     else:
+        # pool.map yields in submission order, so results stay in chunk order
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(lambda c: _solve_chunk(c, pc0, pc1, cfg), chunks)
             )
-    change_map = merge_scores(
-        [(chunk, s, cl, d) for chunk, s, cl, d, _ in results], len(pc1)
-    )
-    diagnostics = sorted((r[4] for r in results), key=lambda d: d.chunk_id)
+    part_scores, diagnostics = zip(*results)
+    scores = merge_scores(zip(chunks, part_scores), len(pc1))
     not_converged = sum(1 for d in diagnostics if not d.converged)
     if not_converged:
         logger.warning(
@@ -285,5 +261,4 @@ def detect_changes(
             not_converged,
             len(diagnostics),
         )
-    change_map.diagnostics = diagnostics
-    return change_map
+    return ChangeMap(scores, classify(scores, cfg.tau), list(diagnostics))

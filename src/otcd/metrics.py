@@ -1,14 +1,13 @@
-"""Confusion matrices, per-class IoU, and the empirical threshold sweep."""
+"""Confusion matrices, per-class IoU, and the threshold sweep over scores."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import ChangeDetectionConfig, ChangeMap, classify, detect_changes
-from .io import PointCloud
+from .detection import ChangeMap, classify
 
 _N_CLASSES = 3
 _CLASS_NAMES = ("unchanged", "new", "demolished")
@@ -68,39 +67,23 @@ def iou(cm: np.ndarray, tau_used: float = math.nan) -> Metrics:
     )
 
 
-def threshold_sweep(
-    pc0: PointCloud,
-    pc1: PointCloud,
-    gt: np.ndarray,
-    cfg: ChangeDetectionConfig,
-    tau_grid,
+def sweep_scores(
+    change_map: ChangeMap, gt: np.ndarray, taus: list[float]
 ) -> tuple[float, list[Metrics]]:
-    """Evaluate a grid of thresholds and pick the best one.
+    """Classify one run's scores at each threshold and pick the best one.
 
-    The pipeline runs once: scores do not depend on tau, so each candidate
-    only needs a reclassification. Returns ``(best_tau, metrics_per_tau)``
-    with the grid evaluated in ascending order; the best tau maximizes
-    mean IoU over the change classes, ties broken toward the smallest tau.
+    Scores do not depend on tau, so a sweep is one ``detect_changes`` run
+    followed by this call. Returns ``(best_tau, metrics_per_tau)`` with the
+    grid evaluated in ascending order; the best tau maximizes mean IoU over
+    the change classes, ties broken toward the smallest tau.
     """
     if gt is None:
-        raise ValueError("threshold sweep requires ground-truth labels on pc1")
-    gt = np.asarray(gt, dtype=np.int64)
-    if gt.shape != (len(pc1),):
-        raise ValueError(f"gt length {gt.shape} does not match pc1 ({len(pc1)})")
-    taus = sorted(float(t) for t in tau_grid)
+        raise ValueError("threshold sweep requires ground-truth labels")
+    taus = sorted(float(t) for t in taus)
     if not taus:
         raise ValueError("tau grid is empty")
     if taus[0] <= 0:
         raise ValueError("all taus must be positive")
-
-    change_map = detect_changes(pc0, pc1, replace(cfg, tau=taus[0]))
-    return sweep_scores(change_map, gt, taus)
-
-
-def sweep_scores(
-    change_map: ChangeMap, gt: np.ndarray, taus: list[float]
-) -> tuple[float, list[Metrics]]:
-    """Threshold-sweep precomputed scores; see :func:`threshold_sweep`."""
     results = []
     best_tau, best_value = taus[0], -1.0
     for tau in taus:

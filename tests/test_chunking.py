@@ -184,48 +184,32 @@ def _unit_chunk(target_indices, chunk_id=0, source_indices=None):
 class TestMergeScores:
     def test_identity_reassembly(self):
         chunk = _unit_chunk([0, 1, 2])
-        out = merge_scores(
-            [(chunk, np.array([1.0, 2.0, 3.0]), np.array([0, 1, 2]), np.zeros(3))], 3
-        )
-        np.testing.assert_array_equal(out.scores, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(out.classes, [0, 1, 2])
+        out = merge_scores([(chunk, np.array([1.0, 2.0, 3.0]))], 3)
+        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
 
     def test_interleaved_scatter(self):
         parts = [
-            (_unit_chunk([0, 2], 0), np.array([10.0, 30.0]), [1, 1], np.zeros(2)),
-            (_unit_chunk([1, 3], 1), np.array([20.0, 40.0]), [2, 2], np.zeros(2)),
+            (_unit_chunk([0, 2], 0), np.array([10.0, 30.0])),
+            (_unit_chunk([1, 3], 1), np.array([20.0, 40.0])),
         ]
         out = merge_scores(parts, 4)
-        np.testing.assert_array_equal(out.scores, [10.0, 20.0, 30.0, 40.0])
-        np.testing.assert_array_equal(out.classes, [1, 2, 1, 2])
-
-    def test_distances_merged_when_present(self):
-        parts = [
-            (
-                _unit_chunk([1, 0], 0),
-                np.array([5.0, 6.0]),
-                np.array([0, 0]),
-                np.array([0.5, 0.25]),
-            )
-        ]
-        out = merge_scores(parts, 2)
-        np.testing.assert_array_equal(out.distances, [0.25, 0.5])
+        np.testing.assert_array_equal(out, [10.0, 20.0, 30.0, 40.0])
 
     def test_overlap_rejected(self):
         parts = [
-            (_unit_chunk([0, 1], 0), np.zeros(2), np.zeros(2), np.zeros(2)),
-            (_unit_chunk([1, 2], 1), np.zeros(2), np.zeros(2), np.zeros(2)),
+            (_unit_chunk([0, 1], 0), np.zeros(2)),
+            (_unit_chunk([1, 2], 1), np.zeros(2)),
         ]
         with pytest.raises(ValueError, match="more than one"):
             merge_scores(parts, 3)
 
     def test_missing_index_rejected(self):
-        parts = [(_unit_chunk([0, 2], 0), np.zeros(2), np.zeros(2), np.zeros(2))]
+        parts = [(_unit_chunk([0, 2], 0), np.zeros(2))]
         with pytest.raises(ValueError, match="not covered"):
             merge_scores(parts, 3)
 
     def test_length_mismatch_rejected(self):
-        parts = [(_unit_chunk([0, 1], 0), np.zeros(1), np.zeros(1), np.zeros(1))]
+        parts = [(_unit_chunk([0, 1], 0), np.zeros(1))]
         with pytest.raises(ValueError, match="length"):
             merge_scores(parts, 2)
 

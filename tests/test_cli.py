@@ -158,6 +158,32 @@ class TestDetect:
         assert cfg.method == "unbalanced_ot"
 
 
+# the inputs do not exist: reading any of them first would be a data error
+_ABSENT = ["--t0", "absent_t0.xyz", "--t1", "absent_t1.xyz"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", *_ABSENT, "--tau", "0", "-o", "o.ply"],
+        ["detect", *_ABSENT, "--tau", "2", "--workers", "0", "-o", "o.ply"],
+        ["detect", *_ABSENT, "--tau", "2", "--point-cap", "0", "-o", "o.ply"],
+        ["detect", *_ABSENT, "--tau", "2", "--halo", "-1", "-o", "o.ply"],
+        ["detect", *_ABSENT, "--tau", "2", "--rho", "-1", "-o", "o.ply"],
+        ["detect", *_ABSENT, "--tau", "2", "--max-iter", "0", "-o", "o.ply"],
+        ["sweep", *_ABSENT, "--tau-grid", "0,1", "-o", "o.json"],
+        ["sweep", *_ABSENT, "--tau-grid", "a:b:c", "-o", "o.json"],
+        ["chunk-stats", *_ABSENT, "--point-cap", "0"],
+        ["eval", "--scored", "absent.ply", "--truth", "absent.xyz", "--tau", "0"],
+        ["bench", "--sizes", "10", "--iters", "0"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if a not in _ABSENT),
+)
+def test_invalid_flag_value_is_usage_error_before_any_read(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == EXIT_USAGE
+
+
 class TestSweepAndEval:
     def test_sweep_writes_metrics_json(self, scene_files, tmp_path):
         t0, t1 = scene_files

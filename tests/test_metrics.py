@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from otcd.chunking import ChunkingConfig
 from otcd.detection import ChangeDetectionConfig, detect_changes
-from otcd.metrics import confusion, iou, sweep_scores, threshold_sweep
+from otcd.metrics import confusion, iou, sweep_scores
 from otcd.solver import SolverConfig
 from otcd.synth import Building, SceneSpec, generate_pair
 
@@ -121,20 +121,27 @@ def box_scene():
     return generate_pair(spec)
 
 
+@pytest.fixture(scope="module")
+def box_change_map(box_scene):
+    pc0, pc1 = box_scene
+    return detect_changes(pc0, pc1, _scene_cfg())
+
+
 class TestThresholdSweep:
-    def test_box_scene_sweep_recovers_changes(self, box_scene):
-        pc0, pc1 = box_scene
+    """A sweep is one ``detect_changes`` run followed by ``sweep_scores``."""
+
+    def test_box_scene_sweep_recovers_changes(self, box_scene, box_change_map):
+        _, pc1 = box_scene
         grid = [float(t) for t in range(1, 10)]
-        best_tau, per_tau = threshold_sweep(pc0, pc1, pc1.labels, _scene_cfg(), grid)
+        best_tau, per_tau = sweep_scores(box_change_map, pc1.labels, grid)
         best = max(m.mean_change_iou for m in per_tau)
         assert best >= 0.8
         assert grid[0] < best_tau < grid[-1]
 
     def test_single_tau_grid(self, box_scene):
         pc0, pc1 = box_scene
-        best_tau, per_tau = threshold_sweep(
-            pc0, pc1, pc1.labels, _scene_cfg(), [3.0]
-        )
+        change_map = detect_changes(pc0, pc1, _scene_cfg(tau=3.0))
+        best_tau, per_tau = sweep_scores(change_map, pc1.labels, [3.0])
         assert best_tau == 3.0
         assert len(per_tau) == 1
 
@@ -142,40 +149,41 @@ class TestThresholdSweep:
         spec = SceneSpec(extent=12.0, ground_density=4.0, noise_sigma_z=0.02, seed=1)
         pc0, _ = generate_pair(spec)
         gt = np.zeros(len(pc0), dtype=int)
-        best_tau, per_tau = threshold_sweep(
-            pc0, pc0, gt, _scene_cfg(), [2.0, 1.0, 3.0]
-        )
+        change_map = detect_changes(pc0, pc0, _scene_cfg())
+        best_tau, per_tau = sweep_scores(change_map, gt, [2.0, 1.0, 3.0])
         # no change classes anywhere: all taus tie at 1.0, smallest returned
         assert best_tau == 1.0
+        assert [m.tau_used for m in per_tau] == [1.0, 2.0, 3.0]
         assert all(m.mean_change_iou == 1.0 for m in per_tau)
 
-    def test_sweep_equals_full_run_per_tau(self, box_scene):
+    def test_sweep_equals_full_run_per_tau(self, box_scene, box_change_map):
         pc0, pc1 = box_scene
-        cfg = _scene_cfg()
-        _, per_tau = threshold_sweep(pc0, pc1, pc1.labels, cfg, [2.0, 5.0])
+        _, per_tau = sweep_scores(box_change_map, pc1.labels, [2.0, 5.0])
         for m in per_tau:
             fresh = detect_changes(pc0, pc1, _scene_cfg(tau=m.tau_used))
             fresh_m = iou(confusion(pc1.labels, fresh.classes), m.tau_used)
             assert fresh_m.mean_change_iou == pytest.approx(m.mean_change_iou)
 
-    def test_superset_grid_never_worse(self, box_scene):
-        pc0, pc1 = box_scene
-        cfg = _scene_cfg()
-        change_map = detect_changes(pc0, pc1, cfg)
+    def test_superset_grid_never_worse(self, box_scene, box_change_map):
+        _, pc1 = box_scene
         g1 = [1.0, 4.0]
         g2 = [1.0, 2.0, 4.0, 6.0]
-        _, m1 = sweep_scores(change_map, pc1.labels, g1)
-        _, m2 = sweep_scores(change_map, pc1.labels, g2)
+        _, m1 = sweep_scores(box_change_map, pc1.labels, g1)
+        _, m2 = sweep_scores(box_change_map, pc1.labels, g2)
         assert max(m.mean_change_iou for m in m2) >= max(
             m.mean_change_iou for m in m1
         )
 
-    def test_missing_labels_rejected(self, box_scene):
-        pc0, pc1 = box_scene
+    def test_missing_labels_rejected(self, box_change_map):
         with pytest.raises(ValueError, match="labels"):
-            threshold_sweep(pc0, pc1, None, _scene_cfg(), [1.0])
+            sweep_scores(box_change_map, None, [1.0])
 
-    def test_empty_grid_rejected(self, box_scene):
-        pc0, pc1 = box_scene
+    def test_empty_grid_rejected(self, box_scene, box_change_map):
+        _, pc1 = box_scene
         with pytest.raises(ValueError, match="grid"):
-            threshold_sweep(pc0, pc1, pc1.labels, _scene_cfg(), [])
+            sweep_scores(box_change_map, pc1.labels, [])
+
+    def test_nonpositive_tau_rejected(self, box_scene, box_change_map):
+        _, pc1 = box_scene
+        with pytest.raises(ValueError, match="positive"):
+            sweep_scores(box_change_map, pc1.labels, [1.0, 0.0])
