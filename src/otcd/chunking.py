@@ -26,7 +26,8 @@ _MAX_DEPTH = 96
 
 
 class ChunkingError(ValueError):
-    """The chunk decomposition cannot satisfy the configured point cap."""
+    """The cloud pair cannot be split into chunks: an epoch is empty, or
+    coincident points exceed the configured point cap."""
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,12 @@ def build_chunks(
     (genuinely new construction in empty terrain is a valid scene).
 
     Raises:
-        ChunkingError: more than ``point_cap`` coincident points make the
-            split stall (the offending coordinate is named).
-        ValueError: empty input cloud.
+        ChunkingError: an empty input cloud, or more than ``point_cap``
+            coincident points make the split stall (the offending coordinate
+            is named).
     """
     if len(pc0) == 0 or len(pc1) == 0:
-        raise ValueError("both epochs must be non-empty")
+        raise ChunkingError("both epochs must be non-empty")
     xy0 = pc0.xyz[:, :2]
     xy1 = pc1.xyz[:, :2]
     lo = np.minimum(pc0.xyz.min(axis=0), pc1.xyz.min(axis=0))

@@ -189,8 +189,8 @@ def _ot_chunk_scores(
 
 
 def _nn_chunk_scores(X0c: np.ndarray, X1c: np.ndarray) -> np.ndarray:
-    # scipy.spatial takes longer to import than most runs take to solve, and
-    # only this baseline needs it
+    # imported by detect_changes before any chunk starts; only this baseline
+    # needs scipy.spatial
     from scipy.spatial import cKDTree
 
     _, idx = cKDTree(X0c).query(X1c, k=1)
@@ -242,6 +242,11 @@ def detect_changes(
     if cfg.method == METHOD_UNBALANCED_OT and cfg.solver.rho is None:
         raise ValueError("method unbalanced_ot requires solver.rho")
     chunks = build_chunks(pc0, pc1, cfg.chunking)
+    if cfg.method == METHOD_NN_BASELINE:
+        # scipy.spatial takes longer to import than most runs take to solve;
+        # imported on the first worker thread, it would stall the other
+        # workers on the import lock and count in that one chunk's wall_ms
+        import scipy.spatial  # noqa: F401
     workers = cfg.workers or os.cpu_count() or 1
     if workers == 1 or len(chunks) == 1:
         results = [_solve_chunk(c, pc0, pc1, cfg) for c in chunks]

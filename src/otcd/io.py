@@ -127,16 +127,21 @@ def read_xyz(path: str | os.PathLike, has_label: bool = False) -> PointCloud:
             when the file contains no points.
     """
     with _open_text(path) as fh:
-        table, linenos = _read_rows(
-            path, fh, 1, 4 if has_label else 3, comments=True
+        table = _read_table(
+            path,
+            fh,
+            1,
+            4 if has_label else 3,
+            comments=True,
+            xyz_cols=[0, 1, 2],
+            class_col=(3, "label") if has_label else None,
         )
-    if not len(table):
-        raise PointCloudFormatError(f"{path}: no points found")
-    xyz = np.ascontiguousarray(table[:, :3])
-    bad = ~np.isfinite(xyz).all(axis=1)
-    _reject_rows(path, bad, linenos, xyz, "non-finite coordinate")
-    labels = _class_column(path, table[:, 3], linenos, "label") if has_label else None
-    return PointCloud(xyz=xyz, labels=labels, epoch_tag=os.path.basename(str(path)))
+    labels = table[:, 3].astype(np.int64) if has_label else None
+    return PointCloud(
+        xyz=np.ascontiguousarray(table[:, :3]),
+        labels=labels,
+        epoch_tag=os.path.basename(str(path)),
+    )
 
 
 def write_xyz(path: str | os.PathLike, cloud: PointCloud) -> None:
@@ -210,7 +215,8 @@ def read_ply(
         prop_names: list[str] = []
         saw_format = False
         in_vertex_element = False
-        for lineno, line in enumerate(fh, start=2):
+        # readline, not iteration, so that fh.tell() works after the header
+        for lineno, line in enumerate(iter(fh.readline, ""), start=2):
             tokens = line.split()
             if not tokens:
                 continue
@@ -256,25 +262,23 @@ def read_ply(
         for name in ("x", "y", "z"):
             if name not in prop_names:
                 raise PointCloudFormatError(f"{path}: missing property {name!r}")
-        table, linenos = _read_rows(
-            path, fh, lineno + 1, len(prop_names), comments=False
+        col = {name: i for i, name in enumerate(prop_names)}
+        xyz_cols = [col["x"], col["y"], col["z"]]
+        has_classes = "change_class" in col
+        table = _read_table(
+            path,
+            fh,
+            lineno + 1,
+            len(prop_names),
+            comments=False,
+            xyz_cols=xyz_cols,
+            class_col=(col["change_class"], "change_class") if has_classes else None,
+            n_rows=n_vertices,
         )
 
-    if len(table) != n_vertices:
-        raise PointCloudFormatError(
-            f"{path}: header declares {n_vertices} vertices, "
-            f"found {len(table)} data rows"
-        )
-    col = {name: i for i, name in enumerate(prop_names)}
-    xyz = np.ascontiguousarray(table[:, [col["x"], col["y"], col["z"]]])
-    bad = ~np.isfinite(xyz).all(axis=1)
-    _reject_rows(path, bad, linenos, xyz, "non-finite coordinate")
+    xyz = np.ascontiguousarray(table[:, xyz_cols])
     scores = table[:, col["change_score"]] if "change_score" in col else None
-    classes = None
-    if "change_class" in col:
-        classes = _class_column(
-            path, table[:, col["change_class"]], linenos, "change_class"
-        )
+    classes = table[:, col["change_class"]].astype(np.int64) if has_classes else None
     cloud = PointCloud(xyz=xyz, epoch_tag=os.path.basename(str(path)))
     return cloud, scores, classes
 
@@ -283,6 +287,77 @@ def _open_text(path: str | os.PathLike):
     # bytes that are not UTF-8 decode to lone surrogates, which no number or
     # header keyword accepts, so they end in a line-numbered format error
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def _read_table(
+    path: str | os.PathLike,
+    fh,
+    first_lineno: int,
+    ncols: int,
+    comments: bool,
+    xyz_cols: list[int],
+    class_col: tuple[int, str] | None,
+    n_rows: int | None = None,
+) -> np.ndarray:
+    """Parse and check the data rows left in ``fh``; returns the (n, ncols)
+    float64 table.
+
+    Each row needs finite ``xyz_cols`` and, when ``class_col`` is a
+    ``(column, name)`` pair, a class id from VALID_CLASSES in that column.
+    ``n_rows`` is the row count a PLY header declares; without it at least
+    one row is needed.
+
+    numpy's C reader parses the rows first. Anything it does not take, or a
+    table that fails a check, is re-read from the same position by
+    :func:`_read_rows`, which raises the line-numbered error; for rows both
+    readers take, the values are the same bits.
+    """
+    # a pipe cannot be read twice, so it goes to the line-numbered reader only
+    start = fh.tell() if fh.seekable() else None
+    if start is not None:
+        table = _c_rows(fh, ncols)
+        if (
+            table is not None
+            and n_rows in (None, len(table))
+            and not any(
+                bad.any() for bad, _, _ in _row_faults(table, xyz_cols, class_col)
+            )
+        ):
+            return table
+        fh.seek(start)
+    table, linenos = _read_rows(path, fh, first_lineno, ncols, comments)
+    if n_rows is None and not len(table):
+        raise PointCloudFormatError(f"{path}: no points found")
+    if n_rows is not None and len(table) != n_rows:
+        raise PointCloudFormatError(
+            f"{path}: header declares {n_rows} vertices, "
+            f"found {len(table)} data rows"
+        )
+    for bad, values, what in _row_faults(table, xyz_cols, class_col):
+        _reject_rows(path, bad, linenos, values, what)
+    return table
+
+
+def _c_rows(fh, ncols: int) -> np.ndarray | None:
+    """The rows left in ``fh`` as numpy's C reader parses them, or None when
+    it does not take them as one (n >= 1, ncols) table."""
+    # np.loadtxt warns on input without rows; step over leading blank lines
+    # and leave input with no fields at all to the line-numbered reader
+    while True:
+        start = fh.tell()
+        line = fh.readline()
+        if not line:
+            return None
+        if line.split():
+            break
+    fh.seek(start)
+    try:
+        # the handle, not fh.read(): a str copy of the file costs more time
+        # and memory than the parse
+        table = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape[1] == ncols else None
 
 
 def _read_rows(
@@ -341,8 +416,21 @@ def _reject_rows(path, bad: np.ndarray, linenos, values, what: str) -> None:
         )
 
 
-def _class_column(path, values: np.ndarray, linenos, name: str) -> np.ndarray:
-    """``values`` as int64 class ids; each must be an integer in VALID_CLASSES."""
-    bad = ~np.isin(values, VALID_CLASSES)
-    _reject_rows(path, bad, linenos, values, f"{name} is not one of {VALID_CLASSES}")
-    return values.astype(np.int64)
+def _row_faults(
+    table: np.ndarray, xyz_cols: list[int], class_col: tuple[int, str] | None
+) -> list[tuple[np.ndarray, np.ndarray, str]]:
+    """``(bad_rows, values, what)`` for each per-row check of
+    :func:`_read_table`, in the order their errors are raised."""
+    xyz = table[:, xyz_cols]
+    faults = [(~np.isfinite(xyz).all(axis=1), xyz, "non-finite coordinate")]
+    if class_col is not None:
+        col, name = class_col
+        values = table[:, col]
+        faults.append(
+            (
+                ~np.isin(values, VALID_CLASSES),
+                values,
+                f"{name} is not one of {VALID_CLASSES}",
+            )
+        )
+    return faults

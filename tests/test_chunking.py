@@ -141,7 +141,7 @@ class TestBuildChunks:
     def test_empty_cloud_rejected(self):
         pc = _cloud([[0, 0]])
         empty = PointCloud(xyz=np.empty((0, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ChunkingError, match="both epochs must be non-empty"):
             build_chunks(empty, pc, ChunkingConfig())
 
     def test_deterministic(self):

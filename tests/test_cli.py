@@ -16,7 +16,7 @@ from otcd.cli import (
     run,
 )
 from otcd.chunking import ChunkingConfig
-from otcd.io import PointCloud, read_ply, read_xyz, write_xyz
+from otcd.io import PointCloud, read_ply, read_xyz, write_ply_scored, write_xyz
 from otcd.solver import SolverConfig
 from otcd.synth import Building, SceneSpec, generate_pair
 
@@ -111,6 +111,15 @@ class TestDetect:
         bad.write_text("1 2\n")
         code = run(_detect_args(str(bad), str(bad), str(tmp_path / "o.ply")))
         assert code == EXIT_DATA
+
+    def test_zero_vertex_ply_epoch_is_data_error(self, scene_files, tmp_path, capsys):
+        empty = str(tmp_path / "empty.ply")
+        write_ply_scored(
+            empty, PointCloud(xyz=np.empty((0, 3))), np.empty(0), np.empty(0)
+        )
+        code = run(_detect_args(empty, scene_files[1], str(tmp_path / "o.ply")))
+        assert code == EXIT_DATA
+        assert "both epochs must be non-empty" in capsys.readouterr().err
 
     def test_strict_flags_nonconvergence(self, scene_files, tmp_path):
         t0, t1 = scene_files
@@ -385,7 +394,8 @@ def test_scipy_is_loaded_only_by_the_nn_baseline(scene_files, tmp_path):
     assert probe["after_import"] == []
     assert probe["uot_code"] == EXIT_OK
     assert probe["after_uot"] == []
-    # the nn chunks run on two worker threads, which import cKDTree lazily
+    # detect_changes imports scipy.spatial once, before the nn chunks start
+    # on two worker threads
     assert probe["nn_code"] == EXIT_OK
     assert probe["cKDTree"]
     diag = json.loads((tmp_path / "probe.diag.json").read_text())

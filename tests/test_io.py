@@ -347,6 +347,7 @@ class TestWriteRowsBlockEdges:
             np.column_stack([xyz, scores, classes]), _COORD_FMTS + ["%.9g", "%d"]
         )
 
+    @pytest.mark.filterwarnings("error")
     def test_zero_vertex_scored_ply_round_trips(self, tmp_path):
         path = tmp_path / "empty.ply"
         write_ply_scored(
@@ -355,6 +356,92 @@ class TestWriteRowsBlockEdges:
         cloud, scores, classes = read_ply(path)
         assert cloud.xyz.shape == (0, 3)
         assert scores.shape == (0,) and classes.shape == (0,)
+
+
+_PLY_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex {n}\n"
+    "property double x\nproperty double y\nproperty double z\n"
+    "property float change_score\nproperty uchar change_class\nend_header\n"
+)
+
+# file name, text, and whether an .xyz file has a label column
+_READER_CASES = [
+    ("plain.xyz", "0.5 -1.25 3e-07\n-0 1000000 123456.789012\n1e+12 0 -7\n", False),
+    ("labeled.xyz", "0.5 -1.25 3e-07 0\n-0 1e6 0.1 2\n1e+12 0 -7 1\n", True),
+    ("crlf.xyz", "0.5 -1.25 3e-07 0\r\n-0 1e6 0.1 2\r\n", True),
+    ("tabs.xyz", "0.5\t-1.25\t3e-07\t0\n-0\t1e6 0.1\t2\n", True),
+    ("padded.xyz", "  0.5 -1.25  3e-07 0 \n\t-0 1e6 0.1 2\t\n", True),
+    ("blank_lines.xyz", "\n0.5 -1.25 3e-07 0\n\n  \n-0 1e6 0.1 2\n\n", True),
+    ("comment.xyz", "# x y z label\n0.5 -1.25 3e-07 0\n-0 1e6 0.1 2\n", True),
+    ("underscore.xyz", "1_0 -1.25 3e-07 0\n-0 1e6 0.1 2\n", True),
+    ("arabic_indic.xyz", "\u0661 -1.25 3e-07 0\n-0 1e6 0.1 2\n", True),
+    ("single_row.xyz", "0.5 -1.25 3e-07 1\n", True),
+    ("one_vertex.ply", _PLY_HEADER.format(n=1) + "1 2 3 inf 1\n", False),
+    (
+        "n_vertices.ply",
+        _PLY_HEADER.format(n=3)
+        + "1 2 3 inf 1\n-0.5 -0 1000000 -2.5 2\n0 0 0 0.123456789 0\n",
+        False,
+    ),
+]
+
+
+def _read_arrays(path, has_label):
+    """Every array a reader returns for ``path``: xyz, labels, scores, classes."""
+    if path.suffix == ".ply":
+        cloud, scores, classes = read_ply(path)
+        return cloud.xyz, cloud.labels, scores, classes
+    cloud = read_xyz(path, has_label=has_label)
+    return cloud.xyz, cloud.labels, None, None
+
+
+def _fail(*args, **kwargs):
+    raise ValueError("forced failure")
+
+
+class TestReaderFastPath:
+    """Rows are parsed by np.loadtxt; the line-numbered reader is the
+    fallback, and both must give the same bits."""
+
+    @pytest.mark.parametrize("name, text, has_label", _READER_CASES)
+    def test_fallback_gives_the_same_bits(
+        self, tmp_path, monkeypatch, name, text, has_label
+    ):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        fast = _read_arrays(path, has_label)
+        monkeypatch.setattr(otcd.io.np, "loadtxt", _fail)
+        slow = _read_arrays(path, has_label)
+        assert fast[0].flags.c_contiguous and slow[0].flags.c_contiguous
+        for got, want in zip(fast, slow):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_plain_files_do_not_need_the_line_reader(self, tmp_path, monkeypatch):
+        texts = {name: text for name, text, _ in _READER_CASES}
+        for name in ("plain.xyz", "labeled.xyz", "n_vertices.ply"):
+            (tmp_path / name).write_text(texts[name])
+        monkeypatch.setattr(otcd.io, "_read_rows", _fail)
+        assert len(read_xyz(tmp_path / "plain.xyz")) == 3
+        assert read_xyz(tmp_path / "labeled.xyz", has_label=True).labels.tolist() == [
+            0, 2, 1
+        ]
+        _, scores, classes = read_ply(tmp_path / "n_vertices.ply")
+        assert classes.tolist() == [1, 2, 0] and math.isinf(scores[0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_blank_xyz_has_no_points_without_a_warning(self, tmp_path):
+        path = _write(tmp_path, "blank.xyz", "\n  \n\t\n")
+        with pytest.raises(PointCloudFormatError, match="no points found"):
+            read_xyz(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_row_then_blank_line_names_line_1_without_a_warning(self, tmp_path):
+        path = _write(tmp_path, "nan.xyz", "0 0 nan\n\n")
+        with pytest.raises(PointCloudFormatError, match=r":1: non-finite"):
+            read_xyz(path)
 
 
 class TestBoundingBox:
