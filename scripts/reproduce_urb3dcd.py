@@ -3,8 +3,8 @@
 
 The benchmark's absolute IoU numbers depend on the external dataset, which
 is not bundled here; without it this script prints instructions and exits
-cleanly. With a prepared dataset it runs, per sub-dataset, a threshold
-sweep for balanced and unbalanced OT and verifies the ordering claim:
+cleanly. With a prepared dataset it runs, per sub-dataset, `otcd sweep`
+with balanced and with unbalanced OT and verifies the ordering claim:
 unbalanced OT beats balanced OT on every sub-dataset.
 
 Expected layout (convert the distributed point clouds to the plain ASCII
@@ -16,95 +16,65 @@ formats this toolkit reads; labels on the later epoch use 0=unchanged,
             t0.xyz            earlier epoch, "x y z" per line
             t1.xyz            later epoch,  "x y z label" per line
 
+Every flag but --data-root and -o goes unchanged to each `otcd sweep` run
+(see `otcd sweep --help` for those flags and their defaults); the script
+sets --t0, --t1, --method, --dataset and -o of the runs itself.
+
 Exit codes: 0 ordering holds (or dataset absent), 1 ordering violated,
-2 data error.
+2 a sweep failed with a usage or data error (its message is printed) or no
+sub-dataset is usable, 3 --strict was passed and a chunk did not converge.
 """
 
 import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
-from otcd import (
-    ChangeDetectionConfig,
-    ChunkingConfig,
-    METHOD_BALANCED_OT,
-    METHOD_UNBALANCED_OT,
-    SolverConfig,
-    detect_changes,
-    read_xyz,
-    sweep_scores,
-)
-
-
-def parse_args(argv):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--data-root", default=None, help="prepared dataset root")
-    parser.add_argument("--point-cap", type=int, default=30_000)
-    parser.add_argument("--halo", type=float, default=0.0)
-    parser.add_argument("--epsilon-rel", type=float, default=0.01)
-    parser.add_argument("--rho", type=float, default=1000.0)
-    parser.add_argument("--max-iter", type=int, default=5000)
-    parser.add_argument(
-        "--tau-grid",
-        default="0.5:10:0.5",
-        help="start:stop:step, matching the empirical threshold selection",
-    )
-    parser.add_argument("-o", "--output", default=None, help="report JSON path")
-    return parser.parse_args(argv)
-
-
-def tau_grid(spec: str):
-    start, stop, step = (float(v) for v in spec.split(":"))
-    taus = []
-    t = start
-    while t <= stop + 1e-9:
-        taus.append(round(t, 9))
-        t += step
-    return taus
-
-
-def best_miou(pc0, pc1, method, args):
-    cfg = ChangeDetectionConfig(
-        solver=SolverConfig(
-            epsilon_rel=args.epsilon_rel, rho=args.rho, max_iter=args.max_iter
-        ),
-        chunking=ChunkingConfig(point_cap=args.point_cap, halo_margin=args.halo),
-        tau=1.0,
-        method=method,
-    )
-    change_map = detect_changes(pc0, pc1, cfg)
-    _, per_tau = sweep_scores(change_map, pc1.labels, tau_grid(args.tau_grid))
-    return max(m.mean_change_iou for m in per_tau)
+from otcd.cli import EXIT_DATA, EXIT_OK, EXIT_STRICT, run
 
 
 def main(argv=None):
-    args = parse_args(argv)
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n")[0],
+        epilog="Any other flag is passed to otcd sweep.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--data-root", default=None, help="prepared dataset root")
+    parser.add_argument("-o", "--output", default=None, help="report JSON path")
+    args, sweep_flags = parser.parse_known_args(argv)
     if args.data_root is None or not Path(args.data_root).is_dir():
         print(__doc__)
         print("no dataset found; nothing to do")
         return 0
     rows = []
-    ordering_holds = True
-    for sub in sorted(p for p in Path(args.data_root).iterdir() if p.is_dir()):
-        t0_path, t1_path = sub / "t0.xyz", sub / "t1.xyz"
-        if not (t0_path.exists() and t1_path.exists()):
-            print(f"skipping {sub.name}: missing t0.xyz / t1.xyz", file=sys.stderr)
-            continue
-        pc0 = read_xyz(t0_path)
-        pc1 = read_xyz(t1_path, has_label=True)
-        ot = best_miou(pc0, pc1, METHOD_BALANCED_OT, args)
-        uot = best_miou(pc0, pc1, METHOD_UNBALANCED_OT, args)
-        rows.append({"dataset": sub.name, "ot": ot, "uot": uot, "uot_wins": uot > ot})
-        ordering_holds &= uot > ot
-        print(f"{sub.name:30s} OT {ot:.4f}  UOT {uot:.4f}  "
-              f"{'ok' if uot > ot else 'ORDERING VIOLATED'}")
+    with tempfile.TemporaryDirectory() as work:
+        out = str(Path(work) / "sweep.json")
+        for sub in sorted(p for p in Path(args.data_root).iterdir() if p.is_dir()):
+            t0_path, t1_path = sub / "t0.xyz", sub / "t1.xyz"
+            if not (t0_path.exists() and t1_path.exists()):
+                print(f"skipping {sub.name}: missing t0.xyz / t1.xyz", file=sys.stderr)
+                continue
+            row = {"dataset": sub.name}
+            for method in ("ot", "uot"):
+                code = run(["sweep", *sweep_flags, "--t0", str(t0_path),
+                            "--t1", str(t1_path), "--method", method,
+                            "--dataset", sub.name, "-o", out])
+                if code != EXIT_OK:
+                    print(f"{sub.name}: otcd sweep --method {method} exited {code}",
+                          file=sys.stderr)
+                    return EXIT_STRICT if code == EXIT_STRICT else EXIT_DATA
+                row[method] = json.loads(Path(out).read_text())["mean_change_iou"]
+            row["uot_wins"] = row["uot"] > row["ot"]
+            rows.append(row)
+            print(f"{sub.name:30s} OT {row['ot']:.4f}  UOT {row['uot']:.4f}  "
+                  f"{'ok' if row['uot_wins'] else 'ORDERING VIOLATED'}")
     if not rows:
         print("dataset root contains no usable sub-datasets", file=sys.stderr)
-        return 2
+        return EXIT_DATA
     if args.output:
         Path(args.output).write_text(json.dumps(rows, indent=2) + "\n")
-    return 0 if ordering_holds else 1
+    return 0 if all(row["uot_wins"] for row in rows) else 1
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -59,13 +60,10 @@ DEFAULT_EPSILON_REL = 0.01
 DEFAULT_RHO = 1000.0
 DEFAULT_TAU_GRID = "0.5:10:0.5"
 
-_METHOD_ALIASES = {
+_METHODS = {
     "uot": METHOD_UNBALANCED_OT,
     "ot": METHOD_BALANCED_OT,
     "nn": METHOD_NN_BASELINE,
-    METHOD_UNBALANCED_OT: METHOD_UNBALANCED_OT,
-    METHOD_BALANCED_OT: METHOD_BALANCED_OT,
-    METHOD_NN_BASELINE: METHOD_NN_BASELINE,
 }
 
 
@@ -104,7 +102,7 @@ def _add_solver_flags(p: _Parser) -> None:
 def _add_method_flags(p: _Parser) -> None:
     p.add_argument(
         "--method",
-        choices=sorted(set(_METHOD_ALIASES)),
+        choices=sorted(_METHODS),
         default="uot",
         help="uot (default), ot, or nn",
     )
@@ -188,11 +186,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config(cls, **fields):
-    """Build a config from flag values; a value it rejects is a usage error,
-    reported before any file is read."""
+def _config(make, *args, **fields):
+    """Build a config as ``make(*args, **fields)`` from flag values; a value
+    it rejects is a usage error, reported before any file is read."""
     try:
-        return cls(**fields)
+        return make(*args, **fields)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -222,7 +220,7 @@ def _detection_config(args, tau: float) -> ChangeDetectionConfig:
         solver=_solver_config(args),
         chunking=_chunking_config(args),
         tau=tau,
-        method=_METHOD_ALIASES[args.method],
+        method=_METHODS[args.method],
         workers=args.workers,
     )
 
@@ -265,7 +263,8 @@ def _parse_tau_grid(spec: str) -> list[float]:
     if step <= 0 or stop < start:
         raise _UsageError(f"bad tau grid {spec!r}")
     n = int(round((stop - start) / step))
-    return [start + k * step for k in range(n + 1) if start + k * step <= stop + 1e-9]
+    taus = (round(start + k * step, 9) for k in range(n + 1))
+    return [t for t in taus if t <= stop + 1e-9]
 
 
 def _diag_path(output: str) -> str:
@@ -369,15 +368,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    data = synth.scene_spec_to_dict(synth.preset(args.preset))
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.extent is not None:
-        data["extent"] = args.extent
+    flags = {"seed": args.seed, "extent": args.extent}
+    flags = {name: value for name, value in flags.items() if value is not None}
+    spec = _config(replace, synth.preset(args.preset), **flags)
     if args.buildings:
-        with open(args.buildings, "r", encoding="utf-8") as fh:
-            data["buildings"] = json.load(fh)
-    spec = synth.scene_spec_from_dict(data)
+        try:
+            with open(args.buildings, "r", encoding="utf-8") as fh:
+                buildings = synth.buildings_from_list(json.load(fh))
+            spec = replace(spec, buildings=buildings)
+        except ValueError as exc:
+            raise ValueError(f"{args.buildings}: {exc}") from None
     pc0, pc1 = synth.generate_pair(spec)
     t0_path = args.out_prefix + "_t0.xyz"
     t1_path = args.out_prefix + "_t1.xyz"

@@ -10,6 +10,7 @@ added-building roofs, 2 on ground inside removed footprints, 0 elsewhere.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,15 @@ class Building:
     status: str
 
     def __post_init__(self) -> None:
+        fp = self.footprint
+        numeric = isinstance(fp, (list, tuple)) and all(map(_is_number, fp))
+        if not (numeric and len(fp) == 4):
+            raise ValueError(
+                f"footprint must be 4 numbers [x0, y0, x1, y1], got {fp!r}"
+            )
+        object.__setattr__(self, "footprint", tuple(fp))
+        if not _is_number(self.height):
+            raise ValueError(f"height must be a number, got {self.height!r}")
         x0, y0, x1, y1 = self.footprint
         if not (x0 < x1 and y0 < y1):
             raise ValueError(f"degenerate footprint {self.footprint}")
@@ -63,8 +73,10 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
+        if not 0 < self.extent < np.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.ground_density <= 0 or self.density_t1_ratio <= 0:
             raise ValueError("densities must be positive")
         if self.noise_sigma_z < 0:
@@ -80,6 +92,10 @@ class SceneSpec:
                     raise ValueError(
                         f"footprints {a.footprint} and {b.footprint} overlap"
                     )
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _rects_overlap(r: tuple, s: tuple) -> bool:
@@ -209,22 +225,32 @@ def scene_spec_to_dict(spec: SceneSpec) -> dict:
     }
 
 
+def buildings_from_list(items) -> tuple[Building, ...]:
+    """Buildings from decoded JSON: a list of objects with ``footprint``
+    ``[x0, y0, x1, y1]``, ``height`` and ``status``. A missing or ill-typed
+    field raises ``ValueError`` naming the building's index and the field."""
+    if not isinstance(items, list):
+        raise ValueError(f"expected a list of buildings, got {type(items).__name__}")
+    buildings = []
+    for k, b in enumerate(items):
+        try:
+            if not isinstance(b, dict):
+                raise ValueError(f"expected an object, got {type(b).__name__}")
+            buildings.append(Building(b["footprint"], b["height"], b["status"]))
+        except KeyError as exc:
+            raise ValueError(f"building {k}: missing field {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"building {k}: {exc}") from None
+    return tuple(buildings)
+
+
 def scene_spec_from_dict(data: dict) -> SceneSpec:
-    buildings = tuple(
-        Building(
-            footprint=tuple(b["footprint"]),
-            height=b["height"],
-            status=b["status"],
-        )
-        for b in data.get("buildings", [])
-    )
-    base = SceneSpec(
+    return SceneSpec(
         extent=data["extent"],
         ground_density=data["ground_density"],
         density_t1_ratio=data.get("density_t1_ratio", 1.0),
-        buildings=buildings,
+        buildings=buildings_from_list(data.get("buildings", [])),
         noise_sigma_z=data.get("noise_sigma_z", 0.0),
         seed=data.get("seed", 0),
     )
-    return base
 

@@ -185,12 +185,16 @@ _ABSENT = ["--t0", "absent_t0.xyz", "--t1", "absent_t1.xyz"]
         ["chunk-stats", *_ABSENT, "--point-cap", "0"],
         ["eval", "--scored", "absent.ply", "--truth", "absent.xyz", "--tau", "0"],
         ["bench", "--sizes", "10", "--iters", "0"],
+        ["synth", "--preset", "multi_density", "--extent", "0", "--out-prefix", "o"],
+        ["synth", "--preset", "multi_density", "--extent", "-5", "--out-prefix", "o"],
+        ["synth", "--preset", "multi_density", "--seed", "-1", "--out-prefix", "o"],
     ],
     ids=lambda argv: " ".join(a for a in argv if a not in _ABSENT),
 )
 def test_invalid_flag_value_is_usage_error_before_any_read(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepAndEval:
@@ -227,13 +231,18 @@ class TestSweepAndEval:
     def test_range_grid_syntax(self, scene_files, tmp_path):
         t0, t1 = scene_files
         out = str(tmp_path / "m.json")
-        code = run(
-            ["sweep", "--t0", t0, "--t1", t1, "--tau-grid", "1:3:1",
-             "--method", "nn", "--point-cap", "600", "-o", out]
-        )
-        assert code == EXIT_OK
-        taus = [row["tau"] for row in json.loads(open(out).read())["sweep"]]
-        assert taus == [1.0, 2.0, 3.0]
+        # 0.1 + 2 * 0.1 is 0.30000000000000004 unless rounded
+        for spec, expected in (
+            ("1:3:1", [1.0, 2.0, 3.0]),
+            ("0.1:1:0.1", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
+        ):
+            code = run(
+                ["sweep", "--t0", t0, "--t1", t1, "--tau-grid", spec,
+                 "--method", "nn", "--point-cap", "600", "-o", out]
+            )
+            assert code == EXIT_OK
+            taus = [row["tau"] for row in json.loads(open(out).read())["sweep"]]
+            assert taus == expected
 
     def test_detect_then_eval_matches_sweep_point(self, scene_files, tmp_path, capsys):
         t0, t1 = scene_files
@@ -323,6 +332,25 @@ class TestSynthAndStats:
         assert code == EXIT_OK
         pc1 = read_xyz(prefix + "_t1.xyz", has_label=True)
         assert (pc1.labels == 1).any()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ([{"footprint": [0, 0, 1, 1]}], "building 0: missing field 'height'"),
+            ({"a": 1}, "expected a list of buildings, got dict"),
+        ],
+        ids=["missing field", "not a list"],
+    )
+    def test_synth_bad_buildings_file_is_data_error(
+        self, tmp_path, capsys, content, message
+    ):
+        bpath = tmp_path / "b.json"
+        bpath.write_text(json.dumps(content))
+        code = run(["synth", "--preset", "low_res_low_noise", "--buildings",
+                    str(bpath), "--out-prefix", str(tmp_path / "built")])
+        assert code == EXIT_DATA
+        assert f"error: {bpath}: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bpath]
 
     def test_chunk_stats_json(self, scene_files, capsys):
         t0, t1 = scene_files

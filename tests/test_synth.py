@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from otcd.io import CLASS_DEMOLISHED, CLASS_NEW, CLASS_UNCHANGED
 from otcd.synth import (
     Building,
     SceneSpec,
+    buildings_from_list,
     generate_pair,
     preset,
     preset_names,
@@ -143,6 +146,50 @@ class TestSpecValidation:
     def test_nonpositive_density(self):
         with pytest.raises(ValueError):
             _spec(ground_density=0.0)
+
+    @pytest.mark.parametrize("extent", [0.0, -5.0, float("nan"), float("inf")])
+    def test_extent_positive_and_finite(self, extent):
+        with pytest.raises(ValueError, match="extent"):
+            _spec(extent=extent)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            _spec(seed=-1)
+
+    @pytest.mark.parametrize(
+        "footprint, height, field",
+        [
+            ((0, 0, 1), 5.0, "footprint"),
+            ((0, 0, "1", 1), 5.0, "footprint"),
+            (3, 5.0, "footprint"),
+            ((0, 0, 1, 1), "5", "height"),
+            ((0, 0, 1, 1), True, "height"),
+        ],
+    )
+    def test_ill_typed_building_field(self, footprint, height, field):
+        with pytest.raises(ValueError, match=field):
+            Building(footprint, height, "added")
+
+
+@pytest.mark.parametrize(
+    "items, message",
+    [
+        ({"a": 1}, "expected a list of buildings, got dict"),
+        ([7], "building 0: expected an object, got int"),
+        (
+            [{"footprint": [0, 0, 1, 1], "height": 2.0}],
+            "building 0: missing field 'status'",
+        ),
+        (
+            [{"footprint": [0, 0, 1, 1], "height": 2.0, "status": "added"},
+             {"footprint": [1, 1, 0, 0], "height": 2.0, "status": "added"}],
+            "building 1: degenerate footprint",
+        ),
+    ],
+)
+def test_buildings_from_list_names_the_building_and_field(items, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        buildings_from_list(items)
 
 
 class TestPresets:
