@@ -2,10 +2,10 @@
 """Ordering check against the Urb3DCD building-change benchmark.
 
 The benchmark's absolute IoU numbers depend on the external dataset, which
-is not bundled here; without it this script prints instructions and exits
-cleanly. With a prepared dataset it runs, per sub-dataset, `otcd sweep`
-with balanced and with unbalanced OT and verifies the ordering claim:
-unbalanced OT beats balanced OT on every sub-dataset.
+is not bundled here; run with no arguments, this script prints these
+instructions and exits cleanly. With a prepared dataset it runs, per
+sub-dataset, `otcd sweep` with balanced and with unbalanced OT and verifies
+the ordering claim: unbalanced OT beats balanced OT on every sub-dataset.
 
 Expected layout (convert the distributed point clouds to the plain ASCII
 formats this toolkit reads; labels on the later epoch use 0=unchanged,
@@ -20,9 +20,11 @@ Every flag but --data-root and -o goes unchanged to each `otcd sweep` run
 (see `otcd sweep --help` for those flags and their defaults); the script
 sets --t0, --t1, --method, --dataset and -o of the runs itself.
 
-Exit codes: 0 ordering holds (or dataset absent), 1 ordering violated,
-2 a sweep failed with a usage or data error (its message is printed) or no
-sub-dataset is usable, 3 --strict was passed and a chunk did not converge.
+Exit codes: 0 ordering holds (or no arguments were given), 1 ordering
+violated, 2 --data-root is not a directory, other flags were given without
+--data-root, a sweep failed with a usage or data error (its message is
+printed) or no sub-dataset is usable, 3 --strict was passed and a chunk did
+not converge.
 """
 
 import argparse
@@ -43,10 +45,17 @@ def main(argv=None):
     parser.add_argument("--data-root", default=None, help="prepared dataset root")
     parser.add_argument("-o", "--output", default=None, help="report JSON path")
     args, sweep_flags = parser.parse_known_args(argv)
-    if args.data_root is None or not Path(args.data_root).is_dir():
-        print(__doc__)
-        print("no dataset found; nothing to do")
-        return 0
+    if args.data_root is None:
+        if args.output is None and not sweep_flags:
+            print(__doc__)
+            print("no dataset given; nothing to do")
+            return EXIT_OK
+        print("error: --data-root is required when other flags are given",
+              file=sys.stderr)
+        return EXIT_DATA
+    if not Path(args.data_root).is_dir():
+        print(f"error: --data-root {args.data_root}: not a directory", file=sys.stderr)
+        return EXIT_DATA
     rows = []
     with tempfile.TemporaryDirectory() as work:
         out = str(Path(work) / "sweep.json")

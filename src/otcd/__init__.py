@@ -34,7 +34,6 @@ from .io import (
     BoundingBox,
     PointCloud,
     PointCloudFormatError,
-    bounding_box,
     read_ply,
     read_xyz,
     write_ply_scored,
@@ -82,7 +81,6 @@ __all__ = [
     "SolverResourceError",
     "TransportPlan",
     "barycentric_projection",
-    "bounding_box",
     "build_chunks",
     "chunk_stats",
     "classify",

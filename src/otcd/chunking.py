@@ -41,8 +41,10 @@ class ChunkingConfig:
     def __post_init__(self) -> None:
         if self.point_cap < 1:
             raise ValueError(f"point_cap must be >= 1, got {self.point_cap}")
-        if self.halo_margin < 0:
-            raise ValueError(f"halo_margin must be >= 0, got {self.halo_margin}")
+        if not 0 <= self.halo_margin < np.inf:
+            raise ValueError(
+                f"halo_margin must be >= 0 and finite, got {self.halo_margin}"
+            )
 
 
 @dataclass(frozen=True)

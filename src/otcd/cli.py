@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -45,7 +46,6 @@ from .solver import (
     SolverNumericalError,
     SolverResourceError,
     cost_matrix,
-    sinkhorn_balanced,
     sinkhorn_unbalanced,
 )
 from . import synth
@@ -176,12 +176,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--t1", required=True)
     _add_chunking_flags(p)
 
-    p = sub.add_parser("bench", help="time the solver on growing sizes")
+    p = sub.add_parser("bench", help="time the unbalanced solver on growing sizes")
     p.add_argument("--sizes", default="1000,5000,20000", help="comma list of n")
     p.add_argument("--iters", type=int, default=5, help="fixed sweep count per size")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon-rel", type=float, default=0.05)
-    p.add_argument("--balanced", action="store_true")
 
     return parser
 
@@ -254,13 +251,20 @@ def _sniff_label_column(path: str) -> bool:
 def _parse_tau_grid(spec: str) -> list[float]:
     try:
         if ":" not in spec:
-            return [float(v) for v in spec.split(",") if v.strip()]
-        start, stop, step = (float(v) for v in spec.split(":"))
+            values = [float(v) for v in spec.split(",") if v.strip()]
+        else:
+            start, stop, step = values = [float(v) for v in spec.split(":")]
     except ValueError:
         raise _UsageError(
             f"bad tau grid {spec!r}; want a comma list or start:stop:step"
         ) from None
-    if step <= 0 or stop < start:
+    if not all(0 < v < math.inf for v in values):
+        raise _UsageError(
+            f"bad tau grid {spec!r}; every value must be positive and finite"
+        )
+    if ":" not in spec:
+        return values
+    if stop < start:
         raise _UsageError(f"bad tau grid {spec!r}")
     n = int(round((stop - start) / step))
     taus = (round(start + k * step, 9) for k in range(n + 1))
@@ -343,8 +347,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.tau is not None and args.tau <= 0:
-        raise _UsageError(f"--tau must be positive, got {args.tau}")
+    if args.tau is not None and not 0 < args.tau < math.inf:
+        raise _UsageError(f"--tau must be positive and finite, got {args.tau}")
     cloud, scores, classes = read_ply(args.scored)
     if scores is None or classes is None:
         raise PointCloudFormatError(
@@ -402,14 +406,17 @@ def _cmd_chunk_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    """Time cost matrix plus ``--iters`` unbalanced sweeps per size on
+    uniform random points; seed, epsilon_rel and rho are fixed so rows are
+    comparable between runs and machines."""
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         raise _UsageError(f"bad --sizes {args.sizes!r}") from None
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(0)
     cfg = _config(
         SolverConfig,
-        epsilon_rel=args.epsilon_rel,
+        epsilon_rel=0.05,
         rho=DEFAULT_RHO,
         max_iter=args.iters,
         tol=1e-30,  # never triggers: fixed-iteration timing
@@ -425,10 +432,7 @@ def _cmd_bench(args) -> int:
         try:
             start = time.perf_counter()
             C = cost_matrix(X0, X1)
-            if args.balanced:
-                plan = sinkhorn_balanced(C, cfg, overwrite_cost=True)
-            else:
-                plan = sinkhorn_unbalanced(C, cfg, overwrite_cost=True)
+            plan = sinkhorn_unbalanced(C, cfg, overwrite_cost=True)
             wall_ms = (time.perf_counter() - start) * 1e3
             rows.append({"n": n, "wall_ms": wall_ms, "iterations": plan.iterations})
             del C, plan

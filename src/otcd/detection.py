@@ -57,8 +57,7 @@ class ChangeDetectionConfig:
     workers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        _check_tau(self.tau)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.workers is not None and self.workers < 1:
@@ -163,12 +162,19 @@ def pointwise_scores(
     return scores
 
 
+def _check_tau(tau: float) -> None:
+    # a NaN tau compares false both ways and would label every point
+    # unchanged; an infinite one would leave the +inf sentinel unchanged
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+
+
 def classify(scores: np.ndarray, tau: float) -> np.ndarray:
     """Threshold signed scores: ``> tau`` new, ``< -tau`` demolished, else
     unchanged. Total function; the ``+inf`` sentinel lands in class new,
-    and a score of exactly ``tau`` stays unchanged."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    and a score of exactly ``tau`` stays unchanged. ``tau`` must be
+    positive and finite."""
+    _check_tau(tau)
     scores = np.asarray(scores)
     classes = np.full(scores.shape, CLASS_UNCHANGED, dtype=np.int64)
     classes[scores > tau] = CLASS_NEW
@@ -233,11 +239,11 @@ def detect_changes(
     """Run the full pipeline: chunk, solve per chunk, project, score,
     merge, classify.
 
-    Chunks are processed by a bounded thread pool; each chunk is
-    self-contained, so the result is independent of the worker count and
-    scheduling order. A chunk whose solver did not converge is still scored
-    from the last iterate and reported in the diagnostics; strictness is
-    the caller's policy.
+    Chunks run on one thread pool of ``min(workers, number of chunks)``
+    threads, a single thread included; each chunk is self-contained, so the
+    result is independent of the worker count and scheduling order. A chunk
+    whose solver did not converge is still scored from the last iterate and
+    reported in the diagnostics; strictness is the caller's policy.
     """
     if cfg.method == METHOD_UNBALANCED_OT and cfg.solver.rho is None:
         raise ValueError("method unbalanced_ot requires solver.rho")
@@ -247,15 +253,10 @@ def detect_changes(
         # imported on the first worker thread, it would stall the other
         # workers on the import lock and count in that one chunk's wall_ms
         import scipy.spatial  # noqa: F401
-    workers = cfg.workers or os.cpu_count() or 1
-    if workers == 1 or len(chunks) == 1:
-        results = [_solve_chunk(c, pc0, pc1, cfg) for c in chunks]
-    else:
-        # pool.map yields in submission order, so results stay in chunk order
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda c: _solve_chunk(c, pc0, pc1, cfg), chunks)
-            )
+    workers = min(cfg.workers or os.cpu_count() or 1, len(chunks))
+    # pool.map yields in submission order, so results stay in chunk order
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(lambda c: _solve_chunk(c, pc0, pc1, cfg), chunks))
     part_scores, diagnostics = zip(*results)
     scores = merge_scores(zip(chunks, part_scores), len(pc1))
     not_converged = sum(1 for d in diagnostics if not d.converged)

@@ -47,12 +47,10 @@ class PointCloud:
         labels: optional (n,) integer class ids in {0, 1, 2}
             (unchanged / new / demolished), normally present only on the
             later epoch of a pair.
-        epoch_tag: free-form provenance string (e.g. source filename).
     """
 
     xyz: np.ndarray
     labels: np.ndarray | None = None
-    epoch_tag: str = ""
 
     def __post_init__(self) -> None:
         self.xyz = np.asarray(self.xyz, dtype=np.float64)
@@ -108,13 +106,6 @@ class BoundingBox:
         return BoundingBox(self.min - off, self.max + off)
 
 
-def bounding_box(cloud: PointCloud) -> BoundingBox:
-    """Componentwise min/max over all points. Raises on an empty cloud."""
-    if len(cloud) == 0:
-        raise ValueError("cannot compute the bounding box of an empty cloud")
-    return BoundingBox(cloud.xyz.min(axis=0), cloud.xyz.max(axis=0))
-
-
 def read_xyz(path: str | os.PathLike, has_label: bool = False) -> PointCloud:
     """Load an ASCII XYZ file, optionally with a per-point label column.
 
@@ -137,11 +128,7 @@ def read_xyz(path: str | os.PathLike, has_label: bool = False) -> PointCloud:
             class_col=(3, "label") if has_label else None,
         )
     labels = table[:, 3].astype(np.int64) if has_label else None
-    return PointCloud(
-        xyz=np.ascontiguousarray(table[:, :3]),
-        labels=labels,
-        epoch_tag=os.path.basename(str(path)),
-    )
+    return PointCloud(xyz=np.ascontiguousarray(table[:, :3]), labels=labels)
 
 
 def write_xyz(path: str | os.PathLike, cloud: PointCloud) -> None:
@@ -279,7 +266,7 @@ def read_ply(
     xyz = np.ascontiguousarray(table[:, xyz_cols])
     scores = table[:, col["change_score"]] if "change_score" in col else None
     classes = table[:, col["change_class"]].astype(np.int64) if has_classes else None
-    cloud = PointCloud(xyz=xyz, epoch_tag=os.path.basename(str(path)))
+    cloud = PointCloud(xyz=xyz)
     return cloud, scores, classes
 
 

@@ -75,15 +75,14 @@ def sweep_scores(
     Scores do not depend on tau, so a sweep is one ``detect_changes`` run
     followed by this call. Returns ``(best_tau, metrics_per_tau)`` with the
     grid evaluated in ascending order; the best tau maximizes mean IoU over
-    the change classes, ties broken toward the smallest tau.
+    the change classes, ties broken toward the smallest tau. A tau that is
+    not positive and finite raises ``ValueError`` (see ``classify``).
     """
     if gt is None:
         raise ValueError("threshold sweep requires ground-truth labels")
     taus = sorted(float(t) for t in taus)
     if not taus:
         raise ValueError("tau grid is empty")
-    if taus[0] <= 0:
-        raise ValueError("all taus must be positive")
     results = []
     best_tau, best_value = taus[0], -1.0
     for tau in taus:

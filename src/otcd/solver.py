@@ -75,15 +75,15 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if (self.epsilon is None) == (self.epsilon_rel is None):
             raise ValueError("set exactly one of epsilon / epsilon_rel")
-        if self.epsilon is not None and self.epsilon <= 0:
+        if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.epsilon_rel is not None and self.epsilon_rel <= 0:
+        if self.epsilon_rel is not None and not self.epsilon_rel > 0:
             raise ValueError("epsilon_rel must be positive")
         if self.rho is not None and not self.rho > 0:
             raise ValueError("rho must be positive (or math.inf)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
 
     def resolved(self, C: np.ndarray) -> "SolverConfig":
@@ -174,7 +174,9 @@ def cost_matrix(X0: np.ndarray, X1: np.ndarray) -> np.ndarray:
         raise ValueError("point sets must be non-empty")
     if not (np.isfinite(X0).all() and np.isfinite(X1).all()):
         raise ValueError("points must be finite")
-    _check_allocation(8 * len(X0) * len(X1), f"{len(X0)}x{len(X1)} cost matrix")
+    _check_allocation(
+        dense_solve_bytes(len(X0), len(X1)), f"{len(X0)}x{len(X1)} cost matrix"
+    )
     center = 0.5 * (X0.mean(axis=0) + X1.mean(axis=0))
     A = X0 - center
     B = X1 - center
@@ -254,7 +256,7 @@ def _sinkhorn(
     if overwrite_cost:
         K = C
     else:
-        _check_allocation(8 * C.size, "materializing the Gibbs kernel")
+        _check_allocation(dense_solve_bytes(n0, n1), "materializing the Gibbs kernel")
         try:
             K = np.empty_like(C)
         except MemoryError as exc:
@@ -355,15 +357,10 @@ def sinkhorn_unbalanced(
     return _sinkhorn(C, cfg.epsilon, cfg.rho, cfg.max_iter, cfg.tol, overwrite_cost)
 
 
-def lp_exact_small(
-    C: np.ndarray,
-    mu0: np.ndarray | None = None,
-    mu1: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
+def lp_exact_small(C: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact un-regularized optimum ``min <P, C>`` over the transport
-    polytope, for test-oracle use on instances with at most 400 cells.
-
-    Marginals default to uniform. Solved as an explicit LP (HiGHS).
+    polytope with uniform marginals, for test-oracle use on instances with
+    at most 400 cells. Solved as an explicit LP (HiGHS).
     """
     C = _validate_cost(C)
     n0, n1 = C.shape
@@ -371,21 +368,13 @@ def lp_exact_small(
         raise ValueError(
             f"instance {n0}x{n1} exceeds the {_LP_MAX_CELLS}-cell oracle limit"
         )
-    mu0 = np.full(n0, 1.0 / n0) if mu0 is None else np.asarray(mu0, dtype=np.float64)
-    mu1 = np.full(n1, 1.0 / n1) if mu1 is None else np.asarray(mu1, dtype=np.float64)
-    if mu0.shape != (n0,) or mu1.shape != (n1,):
-        raise ValueError("marginal shapes do not match the cost matrix")
-    if (mu0 < 0).any() or (mu1 < 0).any():
-        raise ValueError("marginals must be nonnegative")
-    if not math.isclose(mu0.sum(), mu1.sum(), rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError("marginals must carry equal total mass")
 
     A_eq = np.zeros((n0 + n1, n0 * n1))
     for i in range(n0):
         A_eq[i, i * n1 : (i + 1) * n1] = 1.0
     for j in range(n1):
         A_eq[n0 + j, j::n1] = 1.0
-    b_eq = np.concatenate([mu0, mu1])
+    b_eq = np.concatenate([np.full(n0, 1.0 / n0), np.full(n1, 1.0 / n1)])
     from scipy.optimize import linprog  # test oracle only; slow to import
 
     res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
@@ -397,15 +386,14 @@ def lp_exact_small(
 def barycentric_projection(
     plan: TransportPlan | np.ndarray,
     X0: np.ndarray,
-    mass_floor: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project the source points onto the target support through the plan.
 
     Each target atom j maps to the coupling-weighted mean of the source
     points, ``sum_i P[i,j] X0[i] / sum_i P[i,j]``. Targets whose column
-    mass is at or below ``mass_floor`` (default ``1e-3 / n1``, a 0.1%
-    sliver of a uniform target atom) are unreached: their projection row is
-    NaN and callers must treat them via the returned mass vector.
+    mass is at or below ``MASS_FLOOR_FRACTION / n1`` (a 0.1% sliver of a
+    uniform target atom) are unreached: their projection row is NaN and
+    callers must treat them via the returned mass vector.
 
     Returns ``(projected_points, column_mass)``.
     """
@@ -416,10 +404,8 @@ def barycentric_projection(
             f"plan with {P.shape[0]} rows does not match {X0.shape[0]} source points"
         )
     n1 = P.shape[1]
-    if mass_floor is None:
-        mass_floor = MASS_FLOOR_FRACTION / n1
     mass = P.sum(axis=0)
-    reached = mass > mass_floor
+    reached = mass > MASS_FLOOR_FRACTION / n1
     projected = np.full((n1, X0.shape[1]), np.nan)
     # X0.T @ P rather than P.T[reached] @ X0, which would copy the plan
     weighted = (X0.T @ P).T

@@ -44,15 +44,10 @@ class Building:
         x0, y0, x1, y1 = self.footprint
         if not (x0 < x1 and y0 < y1):
             raise ValueError(f"degenerate footprint {self.footprint}")
-        if self.height <= 0:
-            raise ValueError("building height must be positive")
+        if not 0 < self.height < np.inf:
+            raise ValueError(f"height must be positive and finite, got {self.height}")
         if self.status not in _STATUSES:
             raise ValueError(f"status must be one of {_STATUSES}, got {self.status!r}")
-
-    @property
-    def area(self) -> float:
-        x0, y0, x1, y1 = self.footprint
-        return (x1 - x0) * (y1 - y0)
 
 
 @dataclass(frozen=True)
@@ -170,8 +165,8 @@ def generate_pair(spec: SceneSpec) -> tuple[PointCloud, PointCloud]:
         if b.status == STATUS_REMOVED:
             labels[ground1 & _in_rect(xyz1[:, :2], b.footprint)] = CLASS_DEMOLISHED
 
-    pc0 = PointCloud(xyz=xyz0, epoch_tag="t0")
-    pc1 = PointCloud(xyz=xyz1, labels=labels, epoch_tag="t1")
+    pc0 = PointCloud(xyz=xyz0)
+    pc1 = PointCloud(xyz=xyz1, labels=labels)
     return pc0, pc1
 
 

@@ -137,6 +137,9 @@ class TestBuildChunks:
     def test_negative_halo_rejected(self):
         with pytest.raises(ValueError):
             ChunkingConfig(halo_margin=-1.0)
+        for halo in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ChunkingConfig(halo_margin=halo)
 
     def test_empty_cloud_rejected(self):
         pc = _cloud([[0, 0]])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -182,8 +183,21 @@ _ABSENT = ["--t0", "absent_t0.xyz", "--t1", "absent_t1.xyz"]
         ["detect", *_ABSENT, "--tau", "2", "--max-iter", "0", "-o", "o.ply"],
         ["sweep", *_ABSENT, "--tau-grid", "0,1", "-o", "o.json"],
         ["sweep", *_ABSENT, "--tau-grid", "a:b:c", "-o", "o.json"],
+        ["detect", *_ABSENT, "--tau", "nan", "-o", "o.ply"],
+        ["detect", *_ABSENT, "--tau", "inf", "-o", "o.ply"],
+        ["detect", *_ABSENT, "--tau", "2", "--halo", "nan", "-o", "o.ply"],
+        ["detect", *_ABSENT, "--tau", "2", "--halo", "inf", "-o", "o.ply"],
+        ["detect", *_ABSENT, "--tau", "2", "--tol", "nan", "-o", "o.ply"],
+        ["detect", *_ABSENT, "--tau", "2", "--epsilon", "nan", "-o", "o.ply"],
+        ["detect", *_ABSENT, "--tau", "2", "--epsilon-rel", "nan", "-o", "o.ply"],
+        ["sweep", *_ABSENT, "--tau-grid", "1,nan", "-o", "o.json"],
+        ["sweep", *_ABSENT, "--tau-grid", "nan", "-o", "o.json"],
+        ["sweep", *_ABSENT, "--tau-grid", "1,inf", "-o", "o.json"],
+        ["sweep", *_ABSENT, "--tau-grid", "0.5:nan:0.5", "-o", "o.json"],
+        ["sweep", *_ABSENT, "--tau-grid", "0.5:inf:0.5", "-o", "o.json"],
         ["chunk-stats", *_ABSENT, "--point-cap", "0"],
         ["eval", "--scored", "absent.ply", "--truth", "absent.xyz", "--tau", "0"],
+        ["eval", "--scored", "absent.ply", "--truth", "absent.xyz", "--tau", "nan"],
         ["bench", "--sizes", "10", "--iters", "0"],
         ["synth", "--preset", "multi_density", "--extent", "0", "--out-prefix", "o"],
         ["synth", "--preset", "multi_density", "--extent", "-5", "--out-prefix", "o"],
@@ -338,8 +352,12 @@ class TestSynthAndStats:
         [
             ([{"footprint": [0, 0, 1, 1]}], "building 0: missing field 'height'"),
             ({"a": 1}, "expected a list of buildings, got dict"),
+            (
+                [{"footprint": [0, 0, 1, 1], "height": math.nan, "status": "added"}],
+                "building 0: height must be positive and finite, got nan",
+            ),
         ],
-        ids=["missing field", "not a list"],
+        ids=["missing field", "not a list", "NaN height"],
     )
     def test_synth_bad_buildings_file_is_data_error(
         self, tmp_path, capsys, content, message

@@ -87,8 +87,9 @@ class TestClassify:
         assert classify(np.array([np.inf]), tau=100.0).tolist() == [CLASS_NEW]
 
     def test_tau_positive_required(self):
-        with pytest.raises(ValueError):
-            classify(np.zeros(1), tau=0.0)
+        for tau in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                classify(np.zeros(1), tau=tau)
 
     @settings(max_examples=30, deadline=None)
     @given(

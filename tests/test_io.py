@@ -11,7 +11,6 @@ from otcd.io import (
     BoundingBox,
     PointCloud,
     PointCloudFormatError,
-    bounding_box,
     read_ply,
     read_xyz,
     write_ply_scored,
@@ -445,19 +444,6 @@ class TestReaderFastPath:
 
 
 class TestBoundingBox:
-    def test_single_point(self):
-        box = bounding_box(PointCloud(xyz=np.array([[0.0, 0.0, 0.0]])))
-        np.testing.assert_array_equal(box.min, box.max)
-
-    def test_componentwise(self):
-        box = bounding_box(PointCloud(xyz=np.array([[0, 0, 0], [1, -1, 2]])))
-        np.testing.assert_array_equal(box.min, [0, -1, 0])
-        np.testing.assert_array_equal(box.max, [1, 0, 2])
-
-    def test_empty_cloud_rejected(self):
-        with pytest.raises(ValueError):
-            bounding_box(PointCloud(xyz=np.empty((0, 3))))
-
     def test_invalid_box_rejected(self):
         with pytest.raises(ValueError):
             BoundingBox(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0]))

@@ -185,5 +185,6 @@ class TestThresholdSweep:
 
     def test_nonpositive_tau_rejected(self, box_scene, box_change_map):
         _, pc1 = box_scene
-        with pytest.raises(ValueError, match="positive"):
-            sweep_scores(box_change_map, pc1.labels, [1.0, 0.0])
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive"):
+                sweep_scores(box_change_map, pc1.labels, [1.0, bad])

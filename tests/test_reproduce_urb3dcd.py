@@ -111,3 +111,23 @@ def test_sweep_failure_exit_codes(data_root, flags, code):
 def test_no_usable_sub_dataset_exits_2(tmp_path):
     (tmp_path / "empty").mkdir()
     assert reproduce.main(["--data-root", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--data-root", "{root}/none"], "{root}/none: not a directory"),
+        (["--data-roo", "{root}"], "--data-root is required"),
+        (["--point-cap", "600"], "--data-root is required"),
+        (["-o", "{root}/report.json"], "--data-root is required"),
+    ],
+    ids=["missing root", "misspelled flag", "flags only", "output only"],
+)
+def test_bad_or_missing_root_exits_2_without_a_sweep(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    monkeypatch.setattr(reproduce, "run", lambda argv: pytest.fail("ran a sweep"))
+    argv = [a.format(root=tmp_path) for a in argv]
+    assert reproduce.main(argv) == 2
+    assert message.format(root=tmp_path) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -109,6 +109,13 @@ class TestSolverConfig:
             SolverConfig(epsilon=1.0, tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(epsilon=1.0, rho=-2.0)
+        for fields in (
+            {"epsilon": math.nan},
+            {"epsilon_rel": math.nan},
+            {"epsilon": 1.0, "tol": math.nan},
+        ):
+            with pytest.raises(ValueError, match="must be positive"):
+                SolverConfig(**fields)
 
 
 class TestSinkhornBalanced:
@@ -317,9 +324,7 @@ class TestLpExactSmall:
         # C[i,j] = r_i + c_j makes <P, C> constant (2.5) over the whole
         # polytope, so only the optimal value is asserted, not the vertex.
         C = np.array([[1.0, 2.0], [3.0, 4.0]])
-        cost, plan = lp_exact_small(
-            C, np.array([0.5, 0.5]), np.array([0.5, 0.5])
-        )
+        cost, plan = lp_exact_small(C)
         assert cost == pytest.approx(2.5, abs=1e-9)
         np.testing.assert_allclose(plan.sum(axis=1), [0.5, 0.5], atol=1e-9)
         np.testing.assert_allclose(plan.sum(axis=0), [0.5, 0.5], atol=1e-9)
@@ -327,10 +332,6 @@ class TestLpExactSmall:
     def test_instance_size_limit(self):
         with pytest.raises(ValueError, match="400"):
             lp_exact_small(np.zeros((21, 21)))
-
-    def test_unequal_mass_rejected(self):
-        with pytest.raises(ValueError, match="mass"):
-            lp_exact_small(np.zeros((2, 2)), np.array([1.0, 1.0]), np.array([0.5, 0.5]))
 
 
 class TestBarycentricProjection:

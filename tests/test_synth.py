@@ -164,6 +164,7 @@ class TestSpecValidation:
             (3, 5.0, "footprint"),
             ((0, 0, 1, 1), "5", "height"),
             ((0, 0, 1, 1), True, "height"),
+            ((0, 0, 1, 1), float("nan"), "height"),
         ],
     )
     def test_ill_typed_building_field(self, footprint, height, field):
