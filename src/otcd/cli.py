@@ -212,6 +212,8 @@ def _chunking_config(args) -> ChunkingConfig:
 
 
 def _detection_config(args, tau: float) -> ChangeDetectionConfig:
+    if args.method == "uot" and args.rho == math.inf:
+        raise _UsageError("--rho inf is the balanced problem; use --method ot")
     return _config(
         ChangeDetectionConfig,
         solver=_solver_config(args),
@@ -412,7 +414,11 @@ def _cmd_bench(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
-        raise _UsageError(f"bad --sizes {args.sizes!r}") from None
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise _UsageError(
+            f"bad --sizes {args.sizes!r}; want a comma list of positive integers"
+        )
     rng = np.random.default_rng(0)
     cfg = _config(
         SolverConfig,

@@ -13,6 +13,7 @@ the merged whole-cloud scores.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,6 +25,7 @@ from .chunking import ChunkingConfig, ChunkPair, build_chunks
 from .io import CLASS_DEMOLISHED, CLASS_NEW, CLASS_UNCHANGED, PointCloud
 from .solver import (
     SolverConfig,
+    TransportPlan,
     barycentric_projection,
     cost_matrix,
     dense_solve_bytes,
@@ -66,6 +68,11 @@ class ChangeDetectionConfig:
 
 @dataclass(frozen=True)
 class ChunkDiagnostics:
+    """One chunk's solve. ``epsilon`` (resolved), ``gap`` (the last
+    stopping gap) and ``omega`` (the over-relaxation factor kept) are None
+    when no transport plan was solved, and ``gap`` also when it is not
+    finite (an unbalanced solve stopped after its first sweep)."""
+
     chunk_id: int
     n0: int
     n1: int
@@ -73,6 +80,9 @@ class ChunkDiagnostics:
     converged: bool
     wall_ms: float
     peak_bytes_estimate: int
+    epsilon: float | None = None
+    gap: float | None = None
+    omega: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -184,14 +194,14 @@ def classify(scores: np.ndarray, tau: float) -> np.ndarray:
 
 def _ot_chunk_scores(
     X0c: np.ndarray, X1c: np.ndarray, cfg: ChangeDetectionConfig
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, TransportPlan]:
     C = cost_matrix(X0c, X1c)
     if cfg.method == METHOD_UNBALANCED_OT:
         plan = sinkhorn_unbalanced(C, cfg.solver, overwrite_cost=True)
     else:
         plan = sinkhorn_balanced(C, cfg.solver, overwrite_cost=True)
     projected, mass = barycentric_projection(plan, X0c)
-    return pointwise_scores(projected, mass, X1c), plan.iterations, plan.converged
+    return pointwise_scores(projected, mass, X1c), plan
 
 
 def _nn_chunk_scores(X0c: np.ndarray, X1c: np.ndarray) -> np.ndarray:
@@ -213,23 +223,26 @@ def _solve_chunk(
     X0c = pc0.xyz[chunk.source_indices]
     X1c = pc1.xyz[chunk.target_indices]
     n0, n1 = len(X0c), len(X1c)
-    iterations, converged, peak = 0, True, 40 * (n0 + n1)
+    plan, peak = None, 40 * (n0 + n1)
     if chunk.source_empty:
         # nothing can reach these targets; maximal new-structure evidence
         scores = np.full(n1, UNREACHED_SCORE)
     elif cfg.method == METHOD_NN_BASELINE:
         scores = _nn_chunk_scores(X0c, X1c)
     else:
-        scores, iterations, converged = _ot_chunk_scores(X0c, X1c, cfg)
+        scores, plan = _ot_chunk_scores(X0c, X1c, cfg)
         peak = dense_solve_bytes(n0, n1)
     return scores, ChunkDiagnostics(
         chunk_id=chunk.chunk_id,
         n0=n0,
         n1=n1,
-        iterations=iterations,
-        converged=converged,
+        iterations=plan.iterations if plan else 0,
+        converged=plan.converged if plan else True,
         wall_ms=(time.perf_counter() - start) * 1e3,
         peak_bytes_estimate=peak,
+        epsilon=plan.epsilon if plan else None,
+        gap=plan.gap if plan and math.isfinite(plan.gap) else None,
+        omega=plan.omega if plan else None,
     )
 
 

@@ -15,9 +15,10 @@ Both run one stabilized scaling iteration (Schmitzer, SIAM J. Sci. Comput.
 2019): the Gibbs kernel is built once, in the cost matrix's buffer, with
 log-potentials folded in so that no entry underflows at the start, and the
 scalings are absorbed back into the kernel whenever they drift far from 1.
-Each sweep is two matrix-vector products. An exact linear-programming
-oracle for tiny instances and the barycentric projection of a plan onto the
-target support live here too.
+Each sweep is two matrix-vector products. Balanced sweeps are over-relaxed
+once the rate at which they converge has been measured. An exact
+linear-programming oracle for tiny instances and the barycentric projection
+of a plan onto the target support live here too.
 """
 
 from __future__ import annotations
@@ -43,6 +44,18 @@ _MEDIAN_SAMPLE_CELLS = 1 << 19
 # scalings outside [1/_ABSORB_BOUND, _ABSORB_BOUND] are absorbed into the
 # kernel, far from float64 overflow and underflow
 _ABSORB_BOUND = 1e50
+
+# a balanced solve measures how fast its stopping gap contracts over
+# windows of this many sweeps; the first window is warm-up
+_RATE_SWEEPS = 32
+# a rate whose over-relaxation factor reaches this bound (above ~0.997) means
+# the gaps barely contract yet: sweeps stay plain and the rate is measured
+# again one window later
+_OMEGA_MAX = 1.9
+# an over-relaxed gap this far above its best value since relaxing began,
+# or a relaxed scaling this far beyond the absorption bounds, counts as
+# divergence
+_DIVERGENCE = 1e3
 
 
 class SolverNumericalError(ArithmeticError):
@@ -75,10 +88,11 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if (self.epsilon is None) == (self.epsilon_rel is None):
             raise ValueError("set exactly one of epsilon / epsilon_rel")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.epsilon_rel is not None and not self.epsilon_rel > 0:
-            raise ValueError("epsilon_rel must be positive")
+        # an infinite epsilon makes every kernel entry 1: a uniform plan
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if self.epsilon_rel is not None and not 0 < self.epsilon_rel < math.inf:
+            raise ValueError("epsilon_rel must be positive and finite")
         if self.rho is not None and not self.rho > 0:
             raise ValueError("rho must be positive (or math.inf)")
         if self.max_iter < 1:
@@ -103,7 +117,7 @@ class SolverConfig:
             flat = flat[:: flat.size // _MEDIAN_SAMPLE_CELLS + 1]
         scale = float(np.median(flat)) or float(flat.mean()) or 1.0
         eps = self.epsilon_rel * scale
-        if not eps > 0:
+        if not 0 < eps < math.inf:
             raise ValueError(
                 f"epsilon_rel={self.epsilon_rel} resolved to {eps}; "
                 "the costs must be finite and nonnegative"
@@ -116,12 +130,17 @@ class TransportPlan:
     """Dense coupling between a source and a target chunk.
 
     Marginals are recomputed from the coupling on every access, so they can
-    never go stale.
+    never go stale. A solver also records the epsilon it solved at, its
+    last stopping gap (the quantity compared with ``tol``) and ``omega``,
+    the over-relaxation factor it used: 1.0 when every sweep was plain.
     """
 
     coupling: np.ndarray
     converged: bool
     iterations: int
+    epsilon: float = math.nan
+    gap: float = math.nan
+    omega: float = 1.0
 
     @property
     def row_marginal(self) -> np.ndarray:
@@ -205,13 +224,14 @@ def _validate_cost(C: np.ndarray) -> np.ndarray:
     return C
 
 
-def _in_range(x: np.ndarray) -> bool:
-    """True when every nonzero entry lies within the absorption bounds; a
-    zero scaling marks a row or column that holds no mass and stays 0.
-    The masked minimum only runs once a plain one falls below the bound."""
-    low = 1.0 / _ABSORB_BOUND
-    return x.max() <= _ABSORB_BOUND and (
-        x.min() >= low or np.min(x, where=x > 0, initial=_ABSORB_BOUND) >= low
+def _in_range(x: np.ndarray, bound: float) -> bool:
+    """True when every nonzero entry lies within ``[1/bound, bound]`` (so
+    none is NaN or infinite); a zero scaling marks a row or column that
+    holds no mass and stays 0. The masked minimum only runs once a plain
+    one falls below the bound."""
+    low = 1.0 / bound
+    return x.max() <= bound and (
+        x.min() >= low or np.min(x, where=x > 0, initial=bound) >= low
     )
 
 
@@ -222,6 +242,26 @@ def _target_scaling(K: np.ndarray, u: np.ndarray, mu1: float) -> np.ndarray:
     return np.divide(mu1, Ktu, out=np.zeros_like(Ktu), where=Ktu > 0)
 
 
+def _relax(x: np.ndarray, x_hat: np.ndarray, omega: float) -> np.ndarray:
+    """Over-relaxed scaling update ``x**(1 - omega) * x_hat**omega``, a step
+    ``omega`` times the plain one in the log domain, where ``x_hat`` is the
+    plain update. A zero ``x`` gives a non-finite entry, which the caller
+    treats as divergence."""
+    step = x_hat / x
+    step **= omega - 1.0
+    step *= x_hat
+    return step
+
+
+def _relaxation_factor(rate: float) -> float:
+    """Over-relaxation factor ``2 / (1 + sqrt(1 - rate))`` for plain sweeps
+    that contract the stopping gap by ``rate`` each (Lehmann, von Renesse,
+    Sambale and Uschmajew, Optim. Lett. 2022); 2 for a rate of 1 or more."""
+    return 2.0 / (1.0 + math.sqrt(max(1.0 - rate, 0.0)))
+
+
+# the loop checks the gap and the scalings for non-finite values itself
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _sinkhorn(
     C: np.ndarray,
     eps: float,
@@ -245,6 +285,19 @@ def _sinkhorn(
     6.6M lost); at 0.001 about 40% of the entries, the farthest pairs, are
     lost. At an absolute epsilon of 1e-4 on unit random costs the plan
     differs visibly from the exact entropic one.
+
+    A balanced solve is over-relaxed (Thibault, Chizat, Dossal and
+    Papadakis, Algorithms 2021). Every ``_RATE_SWEEPS`` sweeps it measures
+    the rate r at which the stopping gap contracts per sweep; after the
+    first, warm-up window it sets ``omega = 2 / (1 + sqrt(1 - r))`` and
+    updates both scalings as ``x**(1 - omega) * x_hat**omega``, where
+    ``x_hat`` is the plain update. It returns to plain sweeps for good when
+    a relaxed window contracts no faster than r, when the gap turns NaN or
+    exceeds ``_DIVERGENCE`` times its best, when a scaling overshoots the
+    absorption bounds by that factor, and once the gap reaches ``tol``:
+    convergence is always declared on a plain sweep. Unbalanced
+    sweeps stay plain: their drift stop rule ends short of the fixed point,
+    and over-relaxing them moves where it ends.
 
     Mat-vecs use ``np.einsum``, which runs single-threaded in numpy: the
     result does not depend on how many BLAS threads a process has, and no
@@ -271,11 +324,17 @@ def _sinkhorn(
     # the damped update of log u is damping * log(mu0 / Kv) + (damping - 1) * a
     shift = np.exp((damping - 1.0) * a)
     u = np.ones(n0)
+    v = np.ones(n1)
+    omega, relaxing, best = 1.0, False, math.inf
+    # against an infinite gap the warm-up window measures a rate of 0,
+    # which leaves the sweeps plain
+    measuring, window_gap = rho is None, math.inf
     prev_row = None
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        v = _target_scaling(K, u, mu1)
+        v_hat = _target_scaling(K, u, mu1)
+        v = _relax(v, v_hat, omega) if relaxing else v_hat
         Kv = np.einsum("ij,j->i", K, v)
         row = u * Kv
         if rho is None:
@@ -284,33 +343,73 @@ def _sinkhorn(
             gap = math.inf
         else:
             gap = float(np.abs(row - prev_row).sum())
-        if math.isnan(gap):
+        if relaxing:
+            best = min(best, gap)
+            if not gap <= _DIVERGENCE * best:
+                # a NaN gap, or one far above its best: the relaxed iteration
+                # diverges; plain sweeps from the current (finite) u on
+                omega, relaxing, measuring = 1.0, False, False
+                continue
+        elif math.isnan(gap):
             raise SolverNumericalError(
                 "non-finite values during Sinkhorn iteration; increase epsilon"
             )
         if gap <= tol:
-            converged = True
-            break
+            if not relaxing:
+                converged = True
+                break
+            # finish with plain sweeps, so that a converged plan meets the
+            # same marginal bound as plain Sinkhorn
+            relaxing = measuring = False
+        elif measuring and iterations % _RATE_SWEEPS == 0:
+            window_rate = (gap / window_gap) ** (1.0 / _RATE_SWEEPS)
+            window_gap = gap
+            if not relaxing:
+                rate = window_rate
+                omega = _relaxation_factor(rate)
+                relaxing = 1.0 < omega < _OMEGA_MAX
+                omega = omega if relaxing else 1.0
+            elif window_rate >= rate:
+                # relaxing does not beat the plain sweeps it was tuned on
+                omega, relaxing, measuring = 1.0, False, False
         prev_row = row
         # a row whose Kv underflowed to 0 has lost its mass for good: its
         # scaling stays 0 rather than turning into inf * 0
-        u = np.divide(mu0, Kv, out=np.zeros(n0), where=Kv > 0)
+        u_hat = np.divide(mu0, Kv, out=np.zeros(n0), where=Kv > 0)
         if rho is not None:
-            u **= damping
-            u *= shift
-        if not (_in_range(u) and _in_range(v)):
+            u_hat **= damping
+            u_hat *= shift
+        u = _relax(u, u_hat, omega) if relaxing else u_hat
+        if not (_in_range(u, _ABSORB_BOUND) and _in_range(v, _ABSORB_BOUND)):
+            bound = _DIVERGENCE * _ABSORB_BOUND
+            if relaxing and not (_in_range(u, bound) and _in_range(v, bound)):
+                # a relaxed scaling that overshot the absorption bounds
+                # this far, or is not finite, diverges too, and absorbing it
+                # could overflow the kernel: keep this sweep's plain updates
+                omega, relaxing, measuring = 1.0, False, False
+                u, v = u_hat, v_hat
             kept = u > 0
             a[kept] += np.log(u[kept])
             shift = np.exp((damping - 1.0) * a)
             K *= u[:, None]
             K *= v
+            # a relaxed update reads the previous scalings, which are now
+            # part of K
             u = np.ones(n0)
+            v = np.ones(n1)
     # refit the target scaling, so the plan's column marginal is exact even
     # when max_iter ran out after a source update
     v = _target_scaling(K, u, mu1)
     K *= u[:, None]
     K *= v
-    return TransportPlan(coupling=K, converged=converged, iterations=iterations)
+    return TransportPlan(
+        coupling=K,
+        converged=converged,
+        iterations=iterations,
+        epsilon=eps,
+        gap=gap,
+        omega=omega,
+    )
 
 
 def sinkhorn_balanced(
@@ -320,8 +419,9 @@ def sinkhorn_balanced(
 
     On ``converged=True`` the returned plan violates each uniform marginal
     by at most ``cfg.tol`` in L1 (the target one by construction of the
-    final update). Non-convergence within ``max_iter`` returns the last
-    iterate with ``converged=False``; the caller decides.
+    final update), whether or not the sweeps before were over-relaxed.
+    Non-convergence within ``max_iter`` returns the last iterate with
+    ``converged=False``; the caller decides.
 
     With ``overwrite_cost`` the coupling is materialized into the buffer of
     ``C``, halving peak memory; ``C`` is destroyed.

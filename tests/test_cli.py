@@ -190,6 +190,12 @@ _ABSENT = ["--t0", "absent_t0.xyz", "--t1", "absent_t1.xyz"]
         ["detect", *_ABSENT, "--tau", "2", "--tol", "nan", "-o", "o.ply"],
         ["detect", *_ABSENT, "--tau", "2", "--epsilon", "nan", "-o", "o.ply"],
         ["detect", *_ABSENT, "--tau", "2", "--epsilon-rel", "nan", "-o", "o.ply"],
+        ["detect", *_ABSENT, "--tau", "2", "--epsilon", "inf", "-o", "o.ply"],
+        ["detect", *_ABSENT, "--tau", "2", "--epsilon-rel", "inf", "-o", "o.ply"],
+        ["sweep", *_ABSENT, "--epsilon", "inf", "-o", "o.json"],
+        ["detect", *_ABSENT, "--tau", "2", "--method", "uot", "--rho", "inf",
+         "-o", "o.ply"],
+        ["sweep", *_ABSENT, "--method", "uot", "--rho", "inf", "-o", "o.json"],
         ["sweep", *_ABSENT, "--tau-grid", "1,nan", "-o", "o.json"],
         ["sweep", *_ABSENT, "--tau-grid", "nan", "-o", "o.json"],
         ["sweep", *_ABSENT, "--tau-grid", "1,inf", "-o", "o.json"],
@@ -199,6 +205,9 @@ _ABSENT = ["--t0", "absent_t0.xyz", "--t1", "absent_t1.xyz"]
         ["eval", "--scored", "absent.ply", "--truth", "absent.xyz", "--tau", "0"],
         ["eval", "--scored", "absent.ply", "--truth", "absent.xyz", "--tau", "nan"],
         ["bench", "--sizes", "10", "--iters", "0"],
+        ["bench", "--sizes", "-5"],
+        ["bench", "--sizes", "0"],
+        ["bench", "--sizes", "10,0"],
         ["synth", "--preset", "multi_density", "--extent", "0", "--out-prefix", "o"],
         ["synth", "--preset", "multi_density", "--extent", "-5", "--out-prefix", "o"],
         ["synth", "--preset", "multi_density", "--seed", "-1", "--out-prefix", "o"],
@@ -209,6 +218,12 @@ def test_invalid_flag_value_is_usage_error_before_any_read(argv, tmp_path, monke
     monkeypatch.chdir(tmp_path)
     assert run(argv) == EXIT_USAGE
     assert list(tmp_path.iterdir()) == []
+
+
+def test_infinite_rho_points_to_method_ot(capsys):
+    argv = ["detect", *_ABSENT, "--tau", "2", "--rho", "inf", "-o", "o.ply"]
+    assert run(argv) == EXIT_USAGE
+    assert "use --method ot" in capsys.readouterr().err
 
 
 class TestSweepAndEval:

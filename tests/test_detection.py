@@ -284,10 +284,18 @@ class TestDetectChanges:
     def test_diagnostics_fields_populated(self):
         spec = SceneSpec(extent=10.0, ground_density=3.0, seed=6)
         pc0, pc1 = generate_pair(spec)
-        result = detect_changes(pc0, pc1, _cfg(tau=1.0, cap=200))
+        cfg = _cfg(tau=1.0, cap=200)
+        result = detect_changes(pc0, pc1, cfg)
         for diag in result.diagnostics:
             d = diag.to_dict()
             assert d["n1"] > 0
             assert d["wall_ms"] >= 0
             assert d["peak_bytes_estimate"] > 0
             assert d["iterations"] >= 1
+            assert d["epsilon"] > 0
+            # the unbalanced solver never over-relaxes
+            assert d["omega"] == 1.0
+            assert d["converged"] == (d["gap"] <= cfg.solver.tol)
+        nn = detect_changes(pc0, pc1, _cfg(method=METHOD_NN_BASELINE, tau=1.0, cap=200))
+        for diag in nn.diagnostics:
+            assert (diag.epsilon, diag.gap, diag.omega) == (None, None, None)

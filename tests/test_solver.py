@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 from otcd import solver
+from otcd.chunking import ChunkingConfig, build_chunks
+from otcd.detection import METHOD_BALANCED_OT, ChangeDetectionConfig, detect_changes
 from otcd.solver import (
     SolverConfig,
     TransportPlan,
@@ -17,6 +20,7 @@ from otcd.solver import (
     sinkhorn_balanced,
     sinkhorn_unbalanced,
 )
+from otcd.synth import Building, generate_pair, preset
 
 
 def _log_sum_exp_sinkhorn(C, eps, rho=None, max_iter=20000, tol=1e-14):
@@ -34,6 +38,53 @@ def _log_sum_exp_sinkhorn(C, eps, rho=None, max_iter=20000, tol=1e-14):
             break
     g = -np.log(n1) - logsumexp(f[:, None] - C / eps, axis=0)
     return np.exp(f[:, None] + g[None, :] - C / eps)
+
+
+def _plain_sinkhorn(C, eps, tol, max_iter=20000):
+    """Plain balanced Sinkhorn scaling with the solver's stop rule: the L1
+    row violation of the plan whose columns are exact is at most ``tol``.
+    The reference the over-relaxed solver is checked against; returns the
+    plan and its sweep count."""
+    n0, n1 = C.shape
+    K = -C / eps
+    K -= K.max(axis=1, keepdims=True)
+    K -= K.max(axis=0)
+    K = np.exp(K)
+    u = np.ones(n0)
+    for sweeps in range(1, max_iter + 1):
+        v = (1.0 / n1) / (K.T @ u)
+        Kv = K @ v
+        if np.abs(u * Kv - 1.0 / n0).sum() <= tol:
+            return u[:, None] * K * v, sweeps
+        u = (1.0 / n0) / Kv
+    raise AssertionError("reference Sinkhorn did not converge")
+
+
+def _six_building_scene(seed):
+    """3 added and 3 removed 10 m buildings on a 48 m ``multi_density``
+    scene at half its ground density."""
+    buildings = []
+    for k, (y, x) in enumerate((y, x) for y in (3.0, 19.0, 35.0) for x in (5.0, 29.0)):
+        status, side = ("added", 10.0) if k % 2 == 0 else ("removed", 12.0)
+        buildings.append(Building((x, y, x + side, y + side), 10.0, status))
+    return replace(
+        preset("multi_density"),
+        extent=48.0,
+        ground_density=2.0,
+        buildings=tuple(buildings),
+        seed=seed,
+    )
+
+
+def _halo_chunk_cost(seed, chunk_id):
+    """Cost matrix and epsilon of one chunk of the six-building scene, as
+    ``otcd sweep --method ot --point-cap 600 --halo 4`` solves it."""
+    pc0, pc1 = generate_pair(_six_building_scene(seed))
+    chunk = build_chunks(pc0, pc1, ChunkingConfig(point_cap=600, halo_margin=4.0))[
+        chunk_id
+    ]
+    C = cost_matrix(pc0.xyz[chunk.source_indices], pc1.xyz[chunk.target_indices])
+    return C, SolverConfig(epsilon_rel=0.01).resolved(C).epsilon
 
 
 def _uniform_violations(plan: TransportPlan) -> tuple[float, float]:
@@ -112,6 +163,8 @@ class TestSolverConfig:
         for fields in (
             {"epsilon": math.nan},
             {"epsilon_rel": math.nan},
+            {"epsilon": math.inf},
+            {"epsilon_rel": math.inf},
             {"epsilon": 1.0, "tol": math.nan},
         ):
             with pytest.raises(ValueError, match="must be positive"):
@@ -199,6 +252,118 @@ class TestSinkhornBalanced:
         assert plan.converged
         row, col = _uniform_violations(plan)
         assert row <= 1e-7 and col <= 1e-10
+
+
+class TestOverRelaxation:
+    """The balanced solver over-relaxes its sweeps once the stopping gap
+    contracts steadily; its converged plans must be the plain-Sinkhorn
+    ones."""
+
+    # Both plans have exact columns and rows within tol of mu0 in L1; how
+    # far apart that lets them lie depends on the instance's conditioning,
+    # at most 5.2 tol on these instances
+    PLAN_TOL_FACTOR = 10
+
+    def _assert_matches_plain(self, C, eps, tol):
+        plan = sinkhorn_balanced(C, SolverConfig(epsilon=eps, tol=tol, max_iter=20000))
+        reference, _ = _plain_sinkhorn(C, eps, tol)
+        assert plan.converged and plan.omega > 1.0
+        assert plan.gap <= tol
+        row, col = _uniform_violations(plan)
+        assert row <= tol and col <= tol
+        assert np.abs(plan.coupling - reference).sum() <= self.PLAN_TOL_FACTOR * tol
+
+    def test_matches_plain_sinkhorn_on_criterion_2_sized_instances(self):
+        # criterion 2's 200x250 unit-cost instances at an epsilon small
+        # enough (0.003, not 0.01) that the solve runs past its warm-up
+        for k in range(3):
+            C = np.random.default_rng(2000 + k).random((200, 250))
+            self._assert_matches_plain(C, 0.003, 1e-6)
+
+    def test_matches_plain_sinkhorn_on_a_halo_chunk(self):
+        C, eps = _halo_chunk_cost(seed=7, chunk_id=3)
+        self._assert_matches_plain(C, eps, 1e-6)
+
+    def test_absorbing_every_sweep_leaves_the_iteration_unchanged(self, monkeypatch):
+        # a relaxed update reads the previous scalings, so absorbing them
+        # into the kernel must reset both to 1
+        C = np.random.default_rng(2000).random((200, 250))
+        cfg = SolverConfig(epsilon=0.003, tol=1e-6)
+        base = sinkhorn_balanced(C, cfg)
+        monkeypatch.setattr(solver, "_ABSORB_BOUND", 1.0 + 1e-9)
+        absorbed = sinkhorn_balanced(C, cfg)
+        assert base.omega > 1.0 and absorbed.converged
+        assert absorbed.iterations == base.iterations
+        np.testing.assert_allclose(absorbed.coupling, base.coupling, rtol=0, atol=1e-12)
+
+    def test_halo_chunk_needs_half_the_plain_sweeps(self):
+        # plain sweeps, the solver before over-relaxation: 787 on this chunk
+        C, eps = _halo_chunk_cost(seed=7, chunk_id=3)
+        plan = sinkhorn_balanced(C, SolverConfig(epsilon=eps))
+        assert plan.converged
+        assert plan.iterations <= 787 // 2
+
+    def test_converged_marginals_within_tol(self):
+        # seed 33 ends 20 tol off its row marginal if the solve stops on a
+        # relaxed sweep's gap instead of finishing with plain sweeps
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            C = rng.random((int(rng.integers(2, 60)), int(rng.integers(2, 60))))
+            eps = float(rng.uniform(0.002, 0.02))
+            cfg = SolverConfig(epsilon=eps, tol=1e-7, max_iter=3000)
+            plan = sinkhorn_balanced(C, cfg)
+            row, col = _uniform_violations(plan)
+            assert np.isfinite(plan.coupling).all()
+            assert plan.converged == (plan.gap <= 1e-7)
+            if plan.converged:
+                assert row <= 1e-7 and col <= 1e-7, f"seed {seed}"
+
+    @pytest.mark.parametrize(
+        "seed, shape",
+        [
+            # the gap jumps far above its best
+            (162, (15, 15)),
+            # the gap stays moderate while the scalings overshoot the
+            # absorption bounds; absorbing them would overflow the kernel
+            (0, (27, 12)),
+        ],
+    )
+    def test_divergence_falls_back_to_plain_sweeps(self, monkeypatch, seed, shape):
+        # a forced omega of 1.99 relaxes from sweep 32 on; without falling
+        # back to plain sweeps these instances end in non-finite values
+        monkeypatch.setattr(solver, "_relaxation_factor", lambda rate: 1.99)
+        monkeypatch.setattr(solver, "_OMEGA_MAX", 2.0)
+        C = np.random.default_rng(seed).random(shape)
+        tol = 1e-5
+        plan = sinkhorn_balanced(C, SolverConfig(epsilon=1e-3, tol=tol, max_iter=4000))
+        assert np.isfinite(plan.coupling).all()
+        assert plan.omega == 1.0
+        row, _ = _uniform_violations(plan)
+        assert plan.converged == (row <= tol) == (plan.gap <= tol)
+
+    def test_relaxation_slower_than_plain_falls_back(self):
+        # criterion 1's instance 24: relaxed from sweep 64, its gap shrinks
+        # more slowly than plain sweeps shrank it, and it stays above tol
+        # after 4000 sweeps; plain sweeps converge
+        rng = np.random.default_rng(1024)
+        C = rng.random((int(rng.integers(2, 16)), int(rng.integers(2, 16))))
+        plan = sinkhorn_balanced(C, SolverConfig(epsilon=1e-3, tol=1e-5, max_iter=4000))
+        assert plan.converged and plan.omega == 1.0
+
+    def test_worker_count_does_not_change_the_run(self):
+        pc0, pc1 = generate_pair(_six_building_scene(seed=7))
+        cfg = ChangeDetectionConfig(
+            solver=SolverConfig(epsilon_rel=0.01),
+            chunking=ChunkingConfig(point_cap=600, halo_margin=4.0),
+            method=METHOD_BALANCED_OT,
+            workers=1,
+        )
+        serial = detect_changes(pc0, pc1, cfg)
+        threaded = detect_changes(pc0, pc1, replace(cfg, workers=2))
+        assert serial.scores.tobytes() == threaded.scores.tobytes()
+        assert any(d.omega > 1.0 for d in serial.diagnostics)
+        for a, b in zip(serial.diagnostics, threaded.diagnostics):
+            assert (a.iterations, a.gap, a.omega) == (b.iterations, b.gap, b.omega)
 
 
 class TestSinkhornUnbalanced:
