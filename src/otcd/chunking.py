@@ -103,7 +103,6 @@ def build_chunks(
         if max(len(i0), len(i1)) <= cfg.point_cap:
             leaves.append((x0, y0, x1, y1, i0, i1))
             continue
-        _check_splittable(xy0[i0], xy1[i1], cfg.point_cap, depth)
         mid_x = 0.5 * (x0 + x1)
         mid_y = 0.5 * (y0 + y1)
         # quadrant index = (x > mid_x) + 2*(y > mid_y); boundary ties land
@@ -117,8 +116,16 @@ def build_chunks(
             (mid_x, mid_y, x1, y1),
         )
         # push in reverse so quadrant 0 is processed first (stable chunk ids)
-        for q in (3, 2, 1, 0):
-            stack.append((*rects[q], i0[q0 == q], i1[q1 == q], depth + 1))
+        children = [
+            (*rects[q], i0[q0 == q], i1[q1 == q], depth + 1) for q in (3, 2, 1, 0)
+        ]
+        # a split can only stall where it leaves every point in one quadrant
+        # (or at the depth limit), so only there is the node's span checked
+        if depth >= _MAX_DEPTH or any(
+            len(c[4]) == len(i0) and len(c[5]) == len(i1) for c in children
+        ):
+            _check_splittable(xy0[i0], xy1[i1], cfg.point_cap, depth)
+        stack.extend(children)
 
     chunks: list[ChunkPair] = []
     halo_overflow = 0

@@ -72,6 +72,17 @@ class PointCloud:
                     f"found {self.labels[bad][0]}"
                 )
 
+    @classmethod
+    def _checked(
+        cls, xyz: np.ndarray, labels: np.ndarray | None = None
+    ) -> "PointCloud":
+        """A cloud from arrays that already pass ``__post_init__``'s checks
+        (float64 finite ``(n, 3)`` coordinates, int64 labels in
+        VALID_CLASSES), without checking them again."""
+        cloud = cls.__new__(cls)
+        cloud.xyz, cloud.labels = xyz, labels
+        return cloud
+
     def __len__(self) -> int:
         return len(self.xyz)
 
@@ -128,7 +139,8 @@ def read_xyz(path: str | os.PathLike, has_label: bool = False) -> PointCloud:
             class_col=(3, "label") if has_label else None,
         )
     labels = table[:, 3].astype(np.int64) if has_label else None
-    return PointCloud(xyz=np.ascontiguousarray(table[:, :3]), labels=labels)
+    # _read_table has checked the coordinates and labels
+    return PointCloud._checked(np.ascontiguousarray(table[:, :3]), labels)
 
 
 def write_xyz(path: str | os.PathLike, cloud: PointCloud) -> None:
@@ -266,8 +278,8 @@ def read_ply(
     xyz = np.ascontiguousarray(table[:, xyz_cols])
     scores = table[:, col["change_score"]] if "change_score" in col else None
     classes = table[:, col["change_class"]].astype(np.int64) if has_classes else None
-    cloud = PointCloud(xyz=xyz)
-    return cloud, scores, classes
+    # _read_table has checked the coordinates
+    return PointCloud._checked(xyz), scores, classes
 
 
 def _open_text(path: str | os.PathLike):

@@ -130,6 +130,14 @@ class TestBuildChunks:
         with pytest.raises(ChunkingError, match="3.25"):
             build_chunks(pc, pc, ChunkingConfig(point_cap=5))
 
+    def test_split_at_the_depth_limit_is_a_stall(self):
+        # two groups of 5 that only the split at depth 96 separates: the
+        # depth limit holds there too, though the split itself would succeed
+        tiny = 0.75 * 2.0**-96
+        pc = _cloud([[0.0, 0.0]] * 5 + [[tiny, 0.0]] * 5 + [[1.0, 1.0]])
+        with pytest.raises(ChunkingError, match="stalled at depth 96"):
+            build_chunks(pc, pc, ChunkingConfig(point_cap=5))
+
     def test_cap_below_one_rejected(self):
         with pytest.raises(ValueError):
             ChunkingConfig(point_cap=0)

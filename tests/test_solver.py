@@ -153,6 +153,30 @@ class TestSolverConfig:
         cfg = SolverConfig(epsilon_rel=0.1).resolved(C)
         assert cfg.epsilon == pytest.approx(0.1 * 2.5)
 
+    def test_median_has_the_bits_of_np_median(self):
+        rng = np.random.default_rng(5)
+        cases = [rng.random(n) for n in (1, 2, 3, 4, 57, 58, 999, 1000)]
+        # ties, also between the two middle values of an even size
+        cases += [rng.integers(0, 3, n).astype(float) for n in (9, 10, 11, 12)]
+        cases += [np.array([3.0, 2.0, 2.0, 1.0]), np.zeros(6), np.zeros(7)]
+        for x in cases:
+            before = x.copy()
+            assert solver._median(x).hex() == float(np.median(x)).hex(), x
+            np.testing.assert_array_equal(x, before)
+
+    def test_all_zero_costs_resolve_to_epsilon_rel(self):
+        assert SolverConfig(epsilon_rel=0.3).resolved(np.zeros((4, 5))).epsilon == 0.3
+
+    @pytest.mark.parametrize("shape", [(800, 700), (801, 701)])
+    def test_median_of_the_subsample_above_the_cell_cap(self, shape):
+        # strided subsamples of 280,000 (even) and 280,751 (odd) cells
+        C = np.random.default_rng(4).random(shape)
+        assert C.size > solver._MEDIAN_SAMPLE_CELLS
+        step = C.size // solver._MEDIAN_SAMPLE_CELLS + 1
+        expected = 0.01 * float(np.median(C.ravel()[::step]))
+        resolved = SolverConfig(epsilon_rel=0.01).resolved(C)
+        assert resolved.epsilon.hex() == expected.hex()
+
     def test_invalid_values(self):
         with pytest.raises(ValueError):
             SolverConfig(epsilon=-1.0)
@@ -472,6 +496,53 @@ class TestSinkhornUnbalanced:
         assert plan.converged
         reference = _log_sum_exp_sinkhorn(C, 0.05, rho=0.3)
         np.testing.assert_allclose(plan.coupling, reference, atol=1e-9)
+
+
+class TestZeroScalings:
+    """A column that no mass reaches keeps ``v = 0``, and a row whose ``Kv``
+    underflowed keeps ``u = 0``, rather than an infinite scaling."""
+
+    def test_target_and_source_scalings_of_massless_lines(self):
+        # the helpers both solves share; u[2] = 0 cuts column 1 off. A
+        # balanced solve never reaches a zero: a plain source update gives
+        # each row mass mu0, and a target update scales that by at least
+        # 1/n1
+        K = np.array([[1.0, 0.0, 0.5], [0.25, 0.0, 1.0], [0.0, 2.0, 0.0]])
+        u, v = np.full(3, np.nan), np.full(3, np.nan)
+        Ktu = np.empty(3)
+        with np.errstate(divide="ignore"):  # as in the solve
+            solver._target_scaling(K, np.array([2.0, 1.0, 0.0]), 0.5, Ktu, out=v)
+            solver._scaling(1 / 3, K @ np.array([0.0, 1.0, 0.0]), out=u)
+        np.testing.assert_array_equal(v, [0.5 / 2.25, 0.0, 0.5 / 2.0])
+        np.testing.assert_array_equal(u, [0.0, 0.0, (1 / 3) / 2.0])
+
+    @pytest.mark.parametrize("absorb_bound", [solver._ABSORB_BOUND, 1.0 + 1e-9])
+    def test_unbalanced_solve_across_absorptions(self, monkeypatch, absorb_bound):
+        # rho 0.01 lets the solve destroy most sources; once the scalings
+        # are absorbed, whole rows and columns of K underflow to 0 (the
+        # first bound absorbs after sweeps 1 and 2, the second every sweep)
+        monkeypatch.setattr(solver, "_ABSORB_BOUND", absorb_bound)
+        zero_lines = {7: 0, 5: 0}
+        scaling = solver._scaling
+
+        def checked(mass, denom, out):
+            scaling(mass, denom, out)
+            zero = denom == 0
+            assert np.isfinite(out).all() and (out[zero] == 0).all()
+            zero_lines[len(denom)] += int(zero.sum())
+
+        monkeypatch.setattr(solver, "_scaling", checked)
+        C = np.random.default_rng(1).random((7, 5)) * 100
+        plan = sinkhorn_unbalanced(
+            C, SolverConfig(epsilon=1e-4, rho=0.01, max_iter=300)
+        )
+        assert zero_lines[7] > 0 and zero_lines[5] > 0
+        assert np.isfinite(plan.coupling).all()
+        col = plan.col_marginal
+        reached = col > 0
+        assert 0 < reached.sum() < 5
+        np.testing.assert_allclose(col[reached], 0.2, rtol=1e-12)
+        assert (plan.row_marginal == 0).any()
 
 
 class TestLpExactSmall:
