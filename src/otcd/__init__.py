@@ -11,7 +11,6 @@ from .chunking import (
     ChunkingConfig,
     ChunkingError,
     ChunkPair,
-    ChunkStats,
     build_chunks,
     chunk_stats,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "ChangeMap",
     "ChunkDiagnostics",
     "ChunkPair",
-    "ChunkStats",
     "ChunkingConfig",
     "ChunkingError",
     "METHOD_BALANCED_OT",

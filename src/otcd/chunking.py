@@ -178,36 +178,16 @@ def _check_splittable(
         )
 
 
-@dataclass(frozen=True)
-class ChunkStats:
-    count: int
-    src_min: int
-    src_median: float
-    src_max: int
-    tgt_min: int
-    tgt_median: float
-    tgt_max: int
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "src": {"min": self.src_min, "median": self.src_median, "max": self.src_max},
-            "tgt": {"min": self.tgt_min, "median": self.tgt_median, "max": self.tgt_max},
-        }
-
-
-def chunk_stats(chunks: list[ChunkPair]) -> ChunkStats:
-    """Order statistics of chunk sizes per epoch. Raises on an empty list."""
+def chunk_stats(chunks: list[ChunkPair]) -> dict:
+    """Order statistics of chunk sizes per epoch, as ``{"count", "src",
+    "tgt"}`` with ``{"min", "median", "max"}`` per epoch. Raises on an empty
+    list."""
     if not chunks:
         raise ValueError("no chunks to summarize")
-    src = np.array([len(c.source_indices) for c in chunks])
-    tgt = np.array([len(c.target_indices) for c in chunks])
-    return ChunkStats(
-        count=len(chunks),
-        src_min=int(src.min()),
-        src_median=float(np.median(src)),
-        src_max=int(src.max()),
-        tgt_min=int(tgt.min()),
-        tgt_median=float(np.median(tgt)),
-        tgt_max=int(tgt.max()),
-    )
+    src = [len(c.source_indices) for c in chunks]
+    tgt = [len(c.target_indices) for c in chunks]
+    return {
+        "count": len(chunks),
+        "src": {"min": min(src), "median": float(np.median(src)), "max": max(src)},
+        "tgt": {"min": min(tgt), "median": float(np.median(tgt)), "max": max(tgt)},
+    }

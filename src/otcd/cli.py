@@ -227,27 +227,13 @@ def _detection_config(args, tau: float) -> ChangeDetectionConfig:
 def _load_cloud(path: str, want_labels: bool = False) -> PointCloud:
     if str(path).endswith(".ply"):
         cloud, _, _ = read_ply(path)
-        if want_labels:
-            raise PointCloudFormatError(
-                f"{path}: ground-truth labels must come from a 4-column .xyz file"
-            )
-        return cloud
-    has_label = _sniff_label_column(path)
-    if want_labels and not has_label:
-        raise PointCloudFormatError(f"{path}: expected a 4th label column")
-    return read_xyz(path, has_label=has_label)
-
-
-def _sniff_label_column(path: str) -> bool:
-    # decoded as read_xyz decodes, so bytes that are not UTF-8 reach its
-    # line-numbered errors
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            return len(stripped.split()) == 4
-    return False
+    else:
+        cloud = read_xyz(path)
+    if want_labels and cloud.labels is None:
+        raise PointCloudFormatError(
+            f"{path}: ground-truth labels must come from a 4-column .xyz file"
+        )
+    return cloud
 
 
 def _parse_tau_grid(spec: str) -> list[float]:
@@ -402,8 +388,7 @@ def _cmd_chunk_stats(args) -> int:
     cfg = _chunking_config(args)
     pc0 = _load_cloud(args.t0)
     pc1 = _load_cloud(args.t1)
-    stats = chunk_stats(build_chunks(pc0, pc1, cfg))
-    print(json.dumps(stats.to_dict(), indent=2))
+    print(json.dumps(chunk_stats(build_chunks(pc0, pc1, cfg)), indent=2))
     return EXIT_OK
 
 

@@ -2,7 +2,8 @@
 
 Formats handled here:
 
-* XYZ: one point per line, ``x y z [label]``, ``#`` starts a comment line.
+* XYZ: one point per line, ``x y z [label]``, ``#`` starts a comment line;
+  a 4th field in the first data row makes the file labelled.
 * PLY: ASCII 1.0, a single ``vertex`` element with at least ``x y z``
   properties, plus optional ``change_score`` (float) and ``change_class``
   (uchar) written by :func:`write_ply_scored`.
@@ -72,17 +73,6 @@ class PointCloud:
                     f"found {self.labels[bad][0]}"
                 )
 
-    @classmethod
-    def _checked(
-        cls, xyz: np.ndarray, labels: np.ndarray | None = None
-    ) -> "PointCloud":
-        """A cloud from arrays that already pass ``__post_init__``'s checks
-        (float64 finite ``(n, 3)`` coordinates, int64 labels in
-        VALID_CLASSES), without checking them again."""
-        cloud = cls.__new__(cls)
-        cloud.xyz, cloud.labels = xyz, labels
-        return cloud
-
     def __len__(self) -> int:
         return len(self.xyz)
 
@@ -117,11 +107,13 @@ class BoundingBox:
         return BoundingBox(self.min - off, self.max + off)
 
 
-def read_xyz(path: str | os.PathLike, has_label: bool = False) -> PointCloud:
-    """Load an ASCII XYZ file, optionally with a per-point label column.
+def read_xyz(path: str | os.PathLike) -> PointCloud:
+    """Load an ASCII XYZ file; the first data row decides the label column.
 
-    Each non-empty, non-comment line must carry exactly 3 (or 4 when
-    ``has_label``) whitespace-separated numeric fields.
+    A first row of 4 whitespace-separated numeric fields makes the file
+    labelled (``x y z label``), and every row must then carry 4 fields; a
+    first row of any other width means ``x y z``, 3 fields per row. The
+    cloud's ``labels`` is None for a file without the label column.
 
     Raises:
         PointCloudFormatError: malformed line, non-finite coordinate, or
@@ -133,14 +125,13 @@ def read_xyz(path: str | os.PathLike, has_label: bool = False) -> PointCloud:
             path,
             fh,
             1,
-            4 if has_label else 3,
+            (3, 4),
             comments=True,
             xyz_cols=[0, 1, 2],
-            class_col=(3, "label") if has_label else None,
+            class_col=(3, "label"),
         )
-    labels = table[:, 3].astype(np.int64) if has_label else None
-    # _read_table has checked the coordinates and labels
-    return PointCloud._checked(np.ascontiguousarray(table[:, :3]), labels)
+    labels = table[:, 3].astype(np.int64) if table.shape[1] == 4 else None
+    return PointCloud(np.ascontiguousarray(table[:, :3]), labels)
 
 
 def write_xyz(path: str | os.PathLike, cloud: PointCloud) -> None:
@@ -268,7 +259,7 @@ def read_ply(
             path,
             fh,
             lineno + 1,
-            len(prop_names),
+            (len(prop_names),),
             comments=False,
             xyz_cols=xyz_cols,
             class_col=(col["change_class"], "change_class") if has_classes else None,
@@ -278,8 +269,7 @@ def read_ply(
     xyz = np.ascontiguousarray(table[:, xyz_cols])
     scores = table[:, col["change_score"]] if "change_score" in col else None
     classes = table[:, col["change_class"]].astype(np.int64) if has_classes else None
-    # _read_table has checked the coordinates
-    return PointCloud._checked(xyz), scores, classes
+    return PointCloud(xyz), scores, classes
 
 
 def _open_text(path: str | os.PathLike):
@@ -292,17 +282,19 @@ def _read_table(
     path: str | os.PathLike,
     fh,
     first_lineno: int,
-    ncols: int,
+    widths: tuple[int, ...],
     comments: bool,
     xyz_cols: list[int],
     class_col: tuple[int, str] | None,
     n_rows: int | None = None,
 ) -> np.ndarray:
-    """Parse and check the data rows left in ``fh``; returns the (n, ncols)
+    """Parse and check the data rows left in ``fh``; returns the (n, width)
     float64 table.
 
-    Each row needs finite ``xyz_cols`` and, when ``class_col`` is a
-    ``(column, name)`` pair, a class id from VALID_CLASSES in that column.
+    The first data row fixes the width of every row: its own field count
+    when that is one of ``widths``, else ``widths[0]``. Each row needs
+    finite ``xyz_cols`` and, when ``class_col`` is a ``(column, name)`` pair
+    and the table has that column, a class id from VALID_CLASSES in it.
     ``n_rows`` is the row count a PLY header declares; without it at least
     one row is needed.
 
@@ -314,7 +306,7 @@ def _read_table(
     # a pipe cannot be read twice, so it goes to the line-numbered reader only
     start = fh.tell() if fh.seekable() else None
     if start is not None:
-        table = _c_rows(fh, ncols)
+        table = _c_rows(fh, widths)
         if (
             table is not None
             and n_rows in (None, len(table))
@@ -324,7 +316,7 @@ def _read_table(
         ):
             return table
         fh.seek(start)
-    table, linenos = _read_rows(path, fh, first_lineno, ncols, comments)
+    table, linenos = _read_rows(path, fh, first_lineno, widths, comments)
     if n_rows is None and not len(table):
         raise PointCloudFormatError(f"{path}: no points found")
     if n_rows is not None and len(table) != n_rows:
@@ -337,9 +329,10 @@ def _read_table(
     return table
 
 
-def _c_rows(fh, ncols: int) -> np.ndarray | None:
+def _c_rows(fh, widths: tuple[int, ...]) -> np.ndarray | None:
     """The rows left in ``fh`` as numpy's C reader parses them, or None when
-    it does not take them as one (n >= 1, ncols) table."""
+    it does not take them as one (n >= 1, width) table with a width from
+    ``widths``."""
     # np.loadtxt warns on input without rows; step over leading blank lines
     # and leave input with no fields at all to the line-numbered reader
     while True:
@@ -356,31 +349,37 @@ def _c_rows(fh, ncols: int) -> np.ndarray | None:
         table = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
-    return table if table.shape[1] == ncols else None
+    return table if table.shape[1] in widths else None
 
 
 def _read_rows(
     path: str | os.PathLike,
     lines: Iterable[str],
     first_lineno: int,
-    ncols: int,
+    widths: tuple[int, ...],
     comments: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Parse whitespace-separated numeric rows of ``ncols`` fields.
+    """Parse whitespace-separated numeric rows of one width.
 
-    Blank lines are skipped, and so are lines starting with ``#`` when
-    ``comments``. Returns the (n, ncols) float64 table and the 1-based file
+    The first row fixes the width: its field count when that is one of
+    ``widths``, else ``widths[0]``, which is also the width of a table
+    without rows. The lines are read once, in order, so ``lines`` may be a
+    pipe. Blank lines are skipped, and so are lines starting with ``#`` when
+    ``comments``. Returns the (n, width) float64 table and the 1-based file
     line of each row; ``lines`` starts at file line ``first_lineno``.
     """
     values = array("d")
     linenos = array("q")
+    width = None
     for lineno, line in enumerate(lines, start=first_lineno):
         fields = line.split()
         if not fields or (comments and fields[0].startswith("#")):
             continue
-        if len(fields) != ncols:
+        if width is None:
+            width = len(fields) if len(fields) in widths else widths[0]
+        if len(fields) != width:
             raise PointCloudFormatError(
-                f"{path}:{lineno}: expected {ncols} fields, got {len(fields)}"
+                f"{path}:{lineno}: expected {width} fields, got {len(fields)}"
             )
         try:
             values.extend(map(float, fields))
@@ -389,7 +388,7 @@ def _read_rows(
                 f"{path}:{lineno}: non-numeric value: {exc}"
             ) from None
         linenos.append(lineno)
-    table = np.frombuffer(values, dtype=np.float64).reshape(-1, ncols)
+    table = np.frombuffer(values, dtype=np.float64).reshape(-1, width or widths[0])
     return table, np.frombuffer(linenos, dtype=np.int64)
 
 
@@ -422,7 +421,7 @@ def _row_faults(
     :func:`_read_table`, in the order their errors are raised."""
     xyz = table[:, xyz_cols]
     faults = [(~np.isfinite(xyz).all(axis=1), xyz, "non-finite coordinate")]
-    if class_col is not None:
+    if class_col is not None and class_col[0] < table.shape[1]:
         col, name = class_col
         values = table[:, col]
         faults.append(

@@ -238,14 +238,3 @@ def buildings_from_list(items) -> tuple[Building, ...]:
             raise ValueError(f"building {k}: {exc}") from None
     return tuple(buildings)
 
-
-def scene_spec_from_dict(data: dict) -> SceneSpec:
-    return SceneSpec(
-        extent=data["extent"],
-        ground_density=data["ground_density"],
-        density_t1_ratio=data.get("density_t1_ratio", 1.0),
-        buildings=buildings_from_list(data.get("buildings", [])),
-        noise_sigma_z=data.get("noise_sigma_z", 0.0),
-        seed=data.get("seed", 0),
-    )
-

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,19 +233,19 @@ class TestChunkStats:
             _unit_chunk(list(range(s)), i) for i, s in enumerate([10, 20, 30])
         ]
         stats = chunk_stats(chunks)
-        assert stats.count == 3
-        assert (stats.tgt_min, stats.tgt_median, stats.tgt_max) == (10, 20.0, 30)
+        assert stats["count"] == 3
+        assert stats["tgt"] == {"min": 10, "median": 20.0, "max": 30}
 
     def test_single_chunk_degenerate_stats(self):
         stats = chunk_stats([_unit_chunk([0, 1])])
-        assert stats.src_min == stats.src_median == stats.src_max == 2
+        assert stats["src"] == {"min": 2, "median": 2.0, "max": 2}
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             chunk_stats([])
 
     def test_json_shape(self):
-        payload = chunk_stats([_unit_chunk([0])]).to_dict()
+        payload = json.loads(json.dumps(chunk_stats([_unit_chunk([0])])))
         assert payload == {
             "count": 1,
             "src": {"min": 1, "median": 1.0, "max": 1},

@@ -72,7 +72,7 @@ class TestDetect:
         diag_path = str(tmp_path / "out.diag.json")
         assert os.path.exists(diag_path)
         cloud, scores, classes = read_ply(out)
-        truth = read_xyz(t1, has_label=True)
+        truth = read_xyz(t1)
         assert len(cloud) == len(truth)
         assert set(np.unique(classes)) <= {0, 1, 2}
         diag = json.loads(open(diag_path).read())
@@ -91,7 +91,7 @@ class TestDetect:
         )
         assert code == EXIT_OK
         _, scores, classes = read_ply(out)
-        truth = read_xyz(t1, has_label=True)
+        truth = read_xyz(t1)
         new_truth = truth.labels == 1
         assert (classes[new_truth] == 1).mean() >= 0.8
 
@@ -249,13 +249,23 @@ class TestSweepAndEval:
         assert payload["tau"] in (2.0, 4.0, 6.0)
         assert 0.0 <= payload["mean_change_iou"] <= 1.0
 
-    def test_sweep_requires_labels(self, scene_files, tmp_path):
+    def test_sweep_requires_labels(self, scene_files, tmp_path, capsys):
         t0, _ = scene_files
         code = run(
             ["sweep", "--t0", t0, "--t1", t0, "--method", "nn",
              "-o", str(tmp_path / "m.json")]
         )
         assert code == EXIT_DATA
+        assert f"error: {t0}: ground-truth labels" in capsys.readouterr().err
+
+    def test_eval_truth_from_ply_is_data_error(self, scene_files, tmp_path, capsys):
+        t0, t1 = scene_files
+        ply = str(tmp_path / "d.ply")
+        assert run(_detect_args(t0, t1, ply)) == EXIT_OK
+        capsys.readouterr()
+        code = run(["eval", "--scored", ply, "--truth", ply])
+        assert code == EXIT_DATA
+        assert f"error: {ply}: ground-truth labels" in capsys.readouterr().err
 
     def test_range_grid_syntax(self, scene_files, tmp_path):
         t0, t1 = scene_files
@@ -342,7 +352,7 @@ class TestSynthAndStats:
                     "--out-prefix", prefix])
         assert code == EXIT_OK
         pc0 = read_xyz(prefix + "_t0.xyz")
-        pc1 = read_xyz(prefix + "_t1.xyz", has_label=True)
+        pc1 = read_xyz(prefix + "_t1.xyz")
         assert len(pc0) > 0 and len(pc1) > 0
         sidecar = json.loads(open(prefix + "_scene.json").read())
         assert sidecar["seed"] == 4
@@ -359,7 +369,7 @@ class TestSynthAndStats:
         code = run(["synth", "--preset", "low_res_low_noise", "--buildings",
                     str(bpath), "--out-prefix", prefix])
         assert code == EXIT_OK
-        pc1 = read_xyz(prefix + "_t1.xyz", has_label=True)
+        pc1 = read_xyz(prefix + "_t1.xyz")
         assert (pc1.labels == 1).any()
 
     @pytest.mark.parametrize(

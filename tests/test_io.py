@@ -1,5 +1,6 @@
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ class TestReadXyz:
 
     def test_labeled_point(self, tmp_path):
         path = _write(tmp_path, "a.xyz", "0 0 0 1\n")
-        cloud = read_xyz(path, has_label=True)
+        cloud = read_xyz(path)
         assert len(cloud) == 1
         assert cloud.labels.tolist() == [1]
 
@@ -55,18 +56,18 @@ class TestReadXyz:
     def test_label_out_of_range(self, tmp_path):
         path = _write(tmp_path, "a.xyz", "0 0 0 7\n")
         with pytest.raises(PointCloudFormatError, match="label"):
-            read_xyz(path, has_label=True)
+            read_xyz(path)
 
     def test_non_integer_label(self, tmp_path):
         path = _write(tmp_path, "a.xyz", "0 0 0 1.5\n")
         with pytest.raises(PointCloudFormatError):
-            read_xyz(path, has_label=True)
+            read_xyz(path)
 
     @pytest.mark.parametrize("label", ["1.5", "nan", "-1", "abc"])
     def test_non_class_label_names_its_line(self, tmp_path, label):
         path = _write(tmp_path, "a.xyz", f"0 0 0 1\n\n0 0 0 {label}\n")
         with pytest.raises(PointCloudFormatError, match=r":3:"):
-            read_xyz(path, has_label=True)
+            read_xyz(path)
 
     def test_non_numeric_coordinate_names_its_line(self, tmp_path):
         path = _write(tmp_path, "a.xyz", "0 0 0\n0 x 0\n")
@@ -89,9 +90,23 @@ class TestReadXyz:
         with pytest.raises(PointCloudFormatError, match="no points"):
             read_xyz(path)
 
-    def test_label_column_without_flag_is_malformed(self, tmp_path):
-        path = _write(tmp_path, "a.xyz", "0 0 0 1\n")
-        with pytest.raises(PointCloudFormatError, match="expected 3"):
+    def test_first_data_row_decides_the_label_column(self, tmp_path):
+        labeled = read_xyz(_write(tmp_path, "l.xyz", "# x y z label\n0 0 0 1\n"))
+        assert labeled.labels.tolist() == [1]
+        assert read_xyz(_write(tmp_path, "p.xyz", "0 0 0\n")).labels is None
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 0 0\n0 0 0 1\n", r":2: expected 3 fields, got 4"),
+            ("0 0 0 1\n0 0 0\n", r":2: expected 4 fields, got 3"),
+            ("0 0\n0 0 0\n", r":1: expected 3 fields, got 2"),
+            ("0 0 0 1 2\n", r":1: expected 3 fields, got 5"),
+        ],
+    )
+    def test_rows_keep_the_first_row_width(self, tmp_path, text, message):
+        path = _write(tmp_path, "a.xyz", text)
+        with pytest.raises(PointCloudFormatError, match=message):
             read_xyz(path)
 
     def test_no_silent_drops(self, tmp_path):
@@ -122,7 +137,7 @@ class TestXyzRoundTrip:
         )
         path = tmp_path / "rt.xyz"
         write_xyz(path, cloud)
-        back = read_xyz(path, has_label=True)
+        back = read_xyz(path)
         np.testing.assert_allclose(back.xyz, cloud.xyz, rtol=1e-10)
         np.testing.assert_array_equal(back.labels, cloud.labels)
 
@@ -363,7 +378,7 @@ _PLY_HEADER = (
     "property float change_score\nproperty uchar change_class\nend_header\n"
 )
 
-# file name, text, and whether an .xyz file has a label column
+# file name, text, and whether the reader returns labels
 _READER_CASES = [
     ("plain.xyz", "0.5 -1.25 3e-07\n-0 1000000 123456.789012\n1e+12 0 -7\n", False),
     ("labeled.xyz", "0.5 -1.25 3e-07 0\n-0 1e6 0.1 2\n1e+12 0 -7 1\n", True),
@@ -385,12 +400,12 @@ _READER_CASES = [
 ]
 
 
-def _read_arrays(path, has_label):
+def _read_arrays(path):
     """Every array a reader returns for ``path``: xyz, labels, scores, classes."""
     if path.suffix == ".ply":
         cloud, scores, classes = read_ply(path)
         return cloud.xyz, cloud.labels, scores, classes
-    cloud = read_xyz(path, has_label=has_label)
+    cloud = read_xyz(path)
     return cloud.xyz, cloud.labels, None, None
 
 
@@ -402,15 +417,16 @@ class TestReaderFastPath:
     """Rows are parsed by np.loadtxt; the line-numbered reader is the
     fallback, and both must give the same bits."""
 
-    @pytest.mark.parametrize("name, text, has_label", _READER_CASES)
+    @pytest.mark.parametrize("name, text, labeled", _READER_CASES)
     def test_fallback_gives_the_same_bits(
-        self, tmp_path, monkeypatch, name, text, has_label
+        self, tmp_path, monkeypatch, name, text, labeled
     ):
         path = tmp_path / name
         path.write_bytes(text.encode())
-        fast = _read_arrays(path, has_label)
+        fast = _read_arrays(path)
         monkeypatch.setattr(otcd.io.np, "loadtxt", _fail)
-        slow = _read_arrays(path, has_label)
+        slow = _read_arrays(path)
+        assert (fast[1] is not None) == (slow[1] is not None) == labeled
         assert fast[0].flags.c_contiguous and slow[0].flags.c_contiguous
         for got, want in zip(fast, slow):
             assert (got is None) == (want is None)
@@ -424,11 +440,24 @@ class TestReaderFastPath:
             (tmp_path / name).write_text(texts[name])
         monkeypatch.setattr(otcd.io, "_read_rows", _fail)
         assert len(read_xyz(tmp_path / "plain.xyz")) == 3
-        assert read_xyz(tmp_path / "labeled.xyz", has_label=True).labels.tolist() == [
-            0, 2, 1
-        ]
+        assert read_xyz(tmp_path / "labeled.xyz").labels.tolist() == [0, 2, 1]
         _, scores, classes = read_ply(tmp_path / "n_vertices.ply")
         assert classes.tolist() == [1, 2, 0] and math.isinf(scores[0])
+
+    @pytest.mark.parametrize(
+        "text, labels", [("0 0 0 1\n\n1 1 1 2\n", [1, 2]), ("0 0 0\n1 1 1\n", None)]
+    )
+    def test_pipe_is_read_once_by_the_line_reader(self, monkeypatch, text, labels):
+        monkeypatch.setattr(otcd.io, "_c_rows", _fail)
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "w") as fh:
+            fh.write(text)
+        try:
+            cloud = read_xyz(f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
+        assert len(cloud) == 2
+        assert (None if cloud.labels is None else cloud.labels.tolist()) == labels
 
     @pytest.mark.filterwarnings("error")
     def test_blank_xyz_has_no_points_without_a_warning(self, tmp_path):
