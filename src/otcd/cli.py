@@ -225,7 +225,7 @@ def _detection_config(args, tau: float) -> ChangeDetectionConfig:
 
 
 def _load_cloud(path: str, want_labels: bool = False) -> PointCloud:
-    if str(path).endswith(".ply"):
+    if str(path).lower().endswith(".ply"):
         cloud, _, _ = read_ply(path)
     else:
         cloud = read_xyz(path)
@@ -260,7 +260,7 @@ def _parse_tau_grid(spec: str) -> list[float]:
 
 
 def _diag_path(output: str) -> str:
-    base = output[: -len(".ply")] if output.endswith(".ply") else output
+    base = output[: -len(".ply")] if output.lower().endswith(".ply") else output
     return base + ".diag.json"
 
 

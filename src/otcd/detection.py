@@ -69,9 +69,11 @@ class ChangeDetectionConfig:
 @dataclass(frozen=True)
 class ChunkDiagnostics:
     """One chunk's solve. ``epsilon`` (resolved), ``gap`` (the last
-    stopping gap) and ``omega`` (the over-relaxation factor kept) are None
-    when no transport plan was solved, and ``gap`` also when it is not
-    finite (an unbalanced solve stopped after its first sweep)."""
+    stopping gap), ``omega`` (the over-relaxation factor kept) and
+    ``mass_change`` (the source mass the plan created or destroyed,
+    ``||P 1 - mu0||_1`` for a chunk's total mass of 1) are None when no
+    transport plan was solved, and ``gap`` also when it is not finite (an
+    unbalanced solve stopped after its first sweep)."""
 
     chunk_id: int
     n0: int
@@ -83,6 +85,7 @@ class ChunkDiagnostics:
     epsilon: float | None = None
     gap: float | None = None
     omega: float | None = None
+    mass_change: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -223,7 +226,7 @@ def _solve_chunk(
     X0c = pc0.xyz[chunk.source_indices]
     X1c = pc1.xyz[chunk.target_indices]
     n0, n1 = len(X0c), len(X1c)
-    plan, peak = None, 40 * (n0 + n1)
+    plan, peak, mass_change = None, 40 * (n0 + n1), None
     if chunk.source_empty:
         # nothing can reach these targets; maximal new-structure evidence
         scores = np.full(n1, UNREACHED_SCORE)
@@ -232,6 +235,7 @@ def _solve_chunk(
     else:
         scores, plan = _ot_chunk_scores(X0c, X1c, cfg)
         peak = dense_solve_bytes(n0, n1)
+        mass_change = float(np.abs(plan.row_marginal - 1.0 / n0).sum())
     return scores, ChunkDiagnostics(
         chunk_id=chunk.chunk_id,
         n0=n0,
@@ -243,6 +247,7 @@ def _solve_chunk(
         epsilon=plan.epsilon if plan else None,
         gap=plan.gap if plan and math.isfinite(plan.gap) else None,
         omega=plan.omega if plan else None,
+        mass_change=mass_change,
     )
 
 

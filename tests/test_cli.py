@@ -113,6 +113,27 @@ class TestDetect:
         code = run(_detect_args(str(bad), str(bad), str(tmp_path / "o.ply")))
         assert code == EXIT_DATA
 
+    def test_upper_case_ply_suffix_is_read_as_ply(self, scene_files, tmp_path):
+        # any letter case selects the PLY reader; the XYZ reader would
+        # reject the file with "t1.PLY:1: expected 3 fields, got 1"
+        t0, t1 = scene_files
+        upper = str(tmp_path / "t1.PLY")
+        cloud = read_xyz(t1)
+        write_ply_scored(upper, cloud, np.zeros(len(cloud)), np.zeros(len(cloud)))
+        out = str(tmp_path / "out.PLY")
+        code = run(
+            [
+                "detect", "--t0", t0, "--t1", upper, "--tau", "4.0",
+                "--point-cap", "600", "-o", out,
+            ]
+        )
+        assert code == EXIT_OK
+        assert len(read_ply(out)[0]) == len(cloud)
+        diag = _strict_json((tmp_path / "out.diag.json").read_text())
+        assert diag["method"] == "unbalanced_ot"
+        for chunk in diag["chunks"]:
+            assert chunk["converged"] and chunk["mass_change"] > 0
+
     def test_zero_vertex_ply_epoch_is_data_error(self, scene_files, tmp_path, capsys):
         empty = str(tmp_path / "empty.ply")
         write_ply_scored(

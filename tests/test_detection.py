@@ -293,9 +293,55 @@ class TestDetectChanges:
             assert d["peak_bytes_estimate"] > 0
             assert d["iterations"] >= 1
             assert d["epsilon"] > 0
-            # the unbalanced solver never over-relaxes
-            assert d["omega"] == 1.0
+            # 1.0 when every sweep was plain
+            assert d["omega"] >= 1.0
             assert d["converged"] == (d["gap"] <= cfg.solver.tol)
+            assert d["mass_change"] > 0
         nn = detect_changes(pc0, pc1, _cfg(method=METHOD_NN_BASELINE, tau=1.0, cap=200))
         for diag in nn.diagnostics:
-            assert (diag.epsilon, diag.gap, diag.omega) == (None, None, None)
+            fields = (diag.epsilon, diag.gap, diag.omega, diag.mass_change)
+            assert fields == (None,) * 4
+
+    def test_mass_change_is_the_source_marginal_gap(self):
+        spec = SceneSpec(
+            extent=16.0,
+            ground_density=3.0,
+            buildings=(Building((4.0, 4.0, 10.0, 10.0), 6.0, "removed"),),
+            seed=6,
+        )
+        pc0, pc1 = generate_pair(spec)
+        tol = 1e-6
+        ot = detect_changes(
+            pc0, pc1, _cfg(method=METHOD_BALANCED_OT, tau=1.0, cap=300, tol=tol)
+        )
+        for d in ot.diagnostics:
+            # the same L1 row violation, summed over the plan instead of the
+            # last sweep's vectors
+            assert d.converged
+            assert d.mass_change == pytest.approx(d.gap, rel=1e-6, abs=1e-15)
+        uot = detect_changes(pc0, pc1, _cfg(tau=1.0, cap=300, tol=tol))
+        for d in uot.diagnostics:
+            # the plan creates and destroys source mass, far beyond the
+            # row violation that tol leaves a balanced plan
+            assert d.converged and d.mass_change > 100 * tol
+
+    def test_chunk_without_sources_has_no_mass_change(self):
+        rng = np.random.default_rng(9)
+        pc0 = PointCloud(
+            xyz=np.column_stack(
+                [rng.uniform(0, 5, 60), rng.uniform(0, 5, 60), np.zeros(60)]
+            )
+        )
+        near = np.column_stack(
+            [rng.uniform(0, 5, 40), rng.uniform(0, 5, 40), np.zeros(40)]
+        )
+        far = np.column_stack(
+            [rng.uniform(95, 100, 40), rng.uniform(95, 100, 40), np.zeros(40)]
+        )
+        pc1 = PointCloud(xyz=np.vstack([near, far]))
+        result = detect_changes(pc0, pc1, _cfg(tau=1.0, cap=50))
+        empty = [d for d in result.diagnostics if d.n0 == 0]
+        solved = [d for d in result.diagnostics if d.n0 > 0]
+        assert empty and solved
+        assert all(d.mass_change is None for d in empty)
+        assert all(d.mass_change >= 0 for d in solved)

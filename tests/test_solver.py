@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
-from otcd import solver
+from otcd import detection, solver
 from otcd.chunking import ChunkingConfig, build_chunks
 from otcd.detection import METHOD_BALANCED_OT, ChangeDetectionConfig, detect_changes
 from otcd.solver import (
@@ -85,6 +85,31 @@ def _halo_chunk_cost(seed, chunk_id):
     ]
     C = cost_matrix(pc0.xyz[chunk.source_indices], pc1.xyz[chunk.target_indices])
     return C, SolverConfig(epsilon_rel=0.01).resolved(C).epsilon
+
+
+def _acceptance_chunk(seed, chunk_id):
+    """Source and target points of one chunk of the six-building scene, as
+    ``otcd detect --point-cap 2500 --halo 0`` solves it: ~1150 x 340."""
+    pc0, pc1 = generate_pair(_six_building_scene(seed))
+    chunk = build_chunks(pc0, pc1, ChunkingConfig(point_cap=2500))[chunk_id]
+    return pc0.xyz[chunk.source_indices], pc1.xyz[chunk.target_indices]
+
+
+def _assert_workers_do_not_change_the_relaxed_run(cfg):
+    """One and two workers give the same bits on the seed-7 six-building
+    scene, and some chunk's sweeps were over-relaxed."""
+    pc0, pc1 = generate_pair(_six_building_scene(seed=7))
+    serial = detect_changes(pc0, pc1, cfg)
+    threaded = detect_changes(pc0, pc1, replace(cfg, workers=2))
+    assert serial.scores.tobytes() == threaded.scores.tobytes()
+    assert any(d.omega > 1.0 for d in serial.diagnostics)
+    for a, b in zip(serial.diagnostics, threaded.diagnostics):
+        assert (a.iterations, a.gap, a.omega, a.mass_change) == (
+            b.iterations,
+            b.gap,
+            b.omega,
+            b.mass_change,
+        )
 
 
 def _uniform_violations(plan: TransportPlan) -> tuple[float, float]:
@@ -375,19 +400,121 @@ class TestOverRelaxation:
         assert plan.converged and plan.omega == 1.0
 
     def test_worker_count_does_not_change_the_run(self):
-        pc0, pc1 = generate_pair(_six_building_scene(seed=7))
-        cfg = ChangeDetectionConfig(
-            solver=SolverConfig(epsilon_rel=0.01),
-            chunking=ChunkingConfig(point_cap=600, halo_margin=4.0),
-            method=METHOD_BALANCED_OT,
-            workers=1,
+        _assert_workers_do_not_change_the_relaxed_run(
+            ChangeDetectionConfig(
+                solver=SolverConfig(epsilon_rel=0.01),
+                chunking=ChunkingConfig(point_cap=600, halo_margin=4.0),
+                method=METHOD_BALANCED_OT,
+                workers=1,
+            )
         )
-        serial = detect_changes(pc0, pc1, cfg)
-        threaded = detect_changes(pc0, pc1, replace(cfg, workers=2))
-        assert serial.scores.tobytes() == threaded.scores.tobytes()
-        assert any(d.omega > 1.0 for d in serial.diagnostics)
-        for a, b in zip(serial.diagnostics, threaded.diagnostics):
-            assert (a.iterations, a.gap, a.omega) == (b.iterations, b.gap, b.omega)
+
+
+class TestUnbalancedOverRelaxation:
+    """The unbalanced solver over-relaxes its sweeps on the same windows as
+    the balanced one, and translates the potentials after each source
+    update so that its drift stop rule follows the plan."""
+
+    def test_relaxed_solve_stops_near_the_fixed_point(self):
+        # rho / eps ~ 530: on this chunk plain sweeps stop 2.7e-3 m in score
+        # short of the fixed point, relaxed and translated ones 1.4e-4 m
+        X0, X1 = _acceptance_chunk(seed=11, chunk_id=1)
+        cfg = SolverConfig(epsilon_rel=0.01, rho=1000.0)
+        plan = sinkhorn_unbalanced(cost_matrix(X0, X1), cfg)
+        fixed = sinkhorn_unbalanced(
+            cost_matrix(X0, X1), replace(cfg, tol=1e-12, max_iter=20000)
+        )
+        assert plan.converged and fixed.converged
+        assert plan.omega > 1.0
+        scores = [
+            detection.pointwise_scores(*barycentric_projection(p, X0), X1)
+            for p in (plan, fixed)
+        ]
+        np.testing.assert_array_equal(np.isfinite(scores[0]), np.isfinite(scores[1]))
+        reached = np.isfinite(scores[1])
+        assert np.abs(scores[0][reached] - scores[1][reached]).max() <= 1e-3
+
+    def test_acceptance_chunk_needs_under_half_the_plain_sweeps(self, monkeypatch):
+        X0, X1 = _acceptance_chunk(seed=11, chunk_id=1)
+        cfg = SolverConfig(epsilon_rel=0.01, rho=1000.0)
+        relaxed = sinkhorn_unbalanced(cost_matrix(X0, X1), cfg)
+        monkeypatch.setattr(solver, "_relaxation_factor", lambda rate: 1.0)
+        plain = sinkhorn_unbalanced(cost_matrix(X0, X1), cfg)
+        assert relaxed.converged and plain.converged and plain.omega == 1.0
+        assert relaxed.iterations <= plain.iterations // 2
+
+    def test_translation_is_the_optimal_offset_and_keeps_the_plan(self):
+        rng = np.random.default_rng(5)
+        n0, n1, eps, rho = 6, 5, 0.05, 0.3
+        C = rng.random((n0, n1))
+        a, b = rng.normal(0, 3, n0), rng.normal(0, 3, n1)
+        u = rng.uniform(0.5, 2.0, n0)
+        u[2] = 0.0  # a row without mass takes no part
+        f = a + np.log(u, where=u > 0, out=np.full(n0, -np.inf))
+        t = solver._translation(a.copy(), u.copy(), eps / rho, 1 / n0, np.empty(n0))
+        kept = u > 0
+        expected = (rho / eps) * (
+            np.log(1 / n0) + logsumexp(-(eps / rho) * f[kept])
+        )
+        assert t == pytest.approx(expected, rel=1e-12)
+        # t zeroes the derivative of the semi-relaxed dual in the offset
+        total = np.exp(-(eps / rho) * (f[kept] + t)).sum() / n0
+        assert total == pytest.approx(1.0, rel=1e-12)
+
+        def plan(a, b):
+            K = np.exp(-C / eps + a[:, None] + b[None, :])
+            v = (1 / n1) / (u @ K)  # the target scaling, refitted
+            return u[:, None] * K * v
+
+        np.testing.assert_allclose(plan(a + t, b - t), plan(a, b), rtol=1e-12, atol=0)
+
+    def test_translation_of_empty_rows_or_beyond_float_range_is_zero(self):
+        buf = np.empty(3)
+        with np.errstate(all="raise"):
+            # every row has lost its mass
+            assert solver._translation(np.zeros(3), np.zeros(3), 1e-3, 1 / 3, buf) == 0.0
+            # rho / eps at the edge of the float range
+            t = solver._translation(np.zeros(3), np.ones(3), 1e-320, 1 / 3, buf)
+            assert t == 0.0
+            # exp(t), and every exp(-(eps/rho) f_i) of the sum, would
+            # overflow: the sum is shifted by its largest term, and the solve
+            # adds t to a rather than multiplying u by exp(t)
+            a = np.full(3, -1e6)
+            t = solver._translation(a, np.array([1.0, 1.0, 0.0]), 1e-3, 1 / 3, buf)
+            assert t == pytest.approx(1e6 + 1e3 * np.log(2 / 3), rel=1e-12)
+        assert not np.isnan(buf).any()
+
+    @pytest.mark.parametrize(
+        "seed, shape",
+        [
+            # the drift jumps far above its best
+            (0, (26, 20)),
+            # the scalings overshoot the absorption bounds 1e3-fold
+            (15, (28, 22)),
+        ],
+    )
+    def test_divergence_falls_back_to_plain_sweeps(self, monkeypatch, seed, shape):
+        # a forced omega of 1.99 relaxes from sweep 32 on; without falling
+        # back to plain sweeps these instances end in non-finite values
+        monkeypatch.setattr(solver, "_relaxation_factor", lambda rate: 1.99)
+        monkeypatch.setattr(solver, "_OMEGA_MAX", 2.0)
+        C = np.random.default_rng(seed).random(shape)
+        tol = 1e-5
+        cfg = SolverConfig(epsilon=1e-3, rho=1.0, tol=tol, max_iter=4000)
+        plan = sinkhorn_unbalanced(C, cfg)
+        assert np.isfinite(plan.coupling).all()
+        assert plan.omega == 1.0
+        assert plan.converged and plan.gap <= tol
+        np.testing.assert_allclose(plan.col_marginal, 1 / shape[1], rtol=1e-12)
+
+    def test_worker_count_does_not_change_the_run(self):
+        _assert_workers_do_not_change_the_relaxed_run(
+            ChangeDetectionConfig(
+                solver=SolverConfig(epsilon_rel=0.01, rho=1000.0),
+                chunking=ChunkingConfig(point_cap=2500),
+                workers=1,
+            )
+        )
 
 
 class TestSinkhornUnbalanced:
