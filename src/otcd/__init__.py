@@ -30,7 +30,6 @@ from .io import (
     CLASS_DEMOLISHED,
     CLASS_NEW,
     CLASS_UNCHANGED,
-    BoundingBox,
     PointCloud,
     PointCloudFormatError,
     read_ply,
@@ -56,7 +55,6 @@ from .synth import Building, SceneSpec, generate_pair, preset, preset_names
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundingBox",
     "Building",
     "CLASS_DEMOLISHED",
     "CLASS_NEW",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import BoundingBox, PointCloud
+from .io import PointCloud
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +53,8 @@ class ChunkPair:
 
     source_indices: np.ndarray
     target_indices: np.ndarray
-    region: BoundingBox
+    # (x0, y0, x1, y1): the closed quadtree cell that holds the chunk's targets
+    region: tuple[float, float, float, float]
     chunk_id: int
 
     @property
@@ -82,9 +83,8 @@ def build_chunks(
         raise ChunkingError("both epochs must be non-empty")
     xy0 = pc0.xyz[:, :2]
     xy1 = pc1.xyz[:, :2]
-    lo = np.minimum(pc0.xyz.min(axis=0), pc1.xyz.min(axis=0))
-    hi = np.maximum(pc0.xyz.max(axis=0), pc1.xyz.max(axis=0))
-    z_lo, z_hi = lo[2], hi[2]
+    lo = np.minimum(xy0.min(axis=0), xy1.min(axis=0))
+    hi = np.maximum(xy0.max(axis=0), xy1.max(axis=0))
 
     leaves: list[tuple[float, float, float, float, np.ndarray, np.ndarray]] = []
     stack = [
@@ -129,23 +129,23 @@ def build_chunks(
 
     chunks: list[ChunkPair] = []
     halo_overflow = 0
+    h = cfg.halo_margin
+    x, y = xy0[:, 0], xy0[:, 1]
     for x0, y0, x1, y1, i0, i1 in leaves:
         if len(i1) == 0:
             continue
-        region = BoundingBox(
-            np.array([x0, y0, z_lo]), np.array([x1, y1, z_hi])
-        )
         src = i0
-        if cfg.halo_margin > 0:
-            expanded = region.expanded_xy(cfg.halo_margin)
-            src = np.flatnonzero(expanded.contains_xy(xy0))
+        if h > 0:
+            src = np.flatnonzero(
+                (x >= x0 - h) & (x <= x1 + h) & (y >= y0 - h) & (y <= y1 + h)
+            )
             if len(src) > cfg.point_cap:
                 halo_overflow += 1
         chunks.append(
             ChunkPair(
                 source_indices=src,
                 target_indices=i1,
-                region=region,
+                region=(x0, y0, x1, y1),
                 chunk_id=len(chunks),
             )
         )

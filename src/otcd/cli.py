@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -348,10 +348,9 @@ def _cmd_eval(args) -> int:
         raise PointCloudFormatError(
             f"scored cloud has {len(cloud)} points but truth has {len(truth)}"
         )
-    tau = args.tau
-    if tau is not None:
-        classes = classify(scores, tau)
-    m = iou(confusion(truth.labels, classes), tau_used=tau if tau is not None else float("nan"))
+    if args.tau is not None:
+        classes = classify(scores, args.tau)
+    m = iou(confusion(truth.labels, classes), tau_used=args.tau)
     payload = {"scored": args.scored, "truth": args.truth, **m.to_dict()}
     _write_json(args.output, payload)
     if args.output:
@@ -375,7 +374,7 @@ def _cmd_synth(args) -> int:
     t1_path = args.out_prefix + "_t1.xyz"
     write_xyz(t0_path, pc0)
     write_xyz(t1_path, pc1)
-    _write_json(args.out_prefix + "_scene.json", synth.scene_spec_to_dict(spec))
+    _write_json(args.out_prefix + "_scene.json", asdict(spec))
     print(
         json.dumps(
             {"t0": t0_path, "n0": len(pc0), "t1": t1_path, "n1": len(pc1)},

@@ -77,36 +77,6 @@ class PointCloud:
         return len(self.xyz)
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box; ``min`` and ``max`` are (3,) arrays, min <= max."""
-
-    min: np.ndarray
-    max: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "min", np.asarray(self.min, dtype=np.float64))
-        object.__setattr__(self, "max", np.asarray(self.max, dtype=np.float64))
-        if self.min.shape != (3,) or self.max.shape != (3,):
-            raise ValueError("bounding box corners must be 3-vectors")
-        if not (self.min <= self.max).all():
-            raise ValueError(f"min {self.min} exceeds max {self.max}")
-
-    def contains_xy(self, xy: np.ndarray) -> np.ndarray:
-        """Boolean mask of (n, 2) points inside the box's closed XY extent."""
-        return (
-            (xy[:, 0] >= self.min[0])
-            & (xy[:, 0] <= self.max[0])
-            & (xy[:, 1] >= self.min[1])
-            & (xy[:, 1] <= self.max[1])
-        )
-
-    def expanded_xy(self, margin: float) -> "BoundingBox":
-        """Box grown by ``margin`` meters in x and y (z untouched)."""
-        off = np.array([margin, margin, 0.0])
-        return BoundingBox(self.min - off, self.max + off)
-
-
 def read_xyz(path: str | os.PathLike) -> PointCloud:
     """Load an ASCII XYZ file; the first data row decides the label column.
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,22 +28,22 @@ def confusion(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Per-class IoU plus the mean over the two change classes."""
+    """Per-class IoU plus the mean over the two change classes; ``tau_used``
+    is None when the classes were not thresholded here."""
 
     iou_per_class: tuple[float, float, float]
     mean_change_iou: float
-    tau_used: float
+    tau_used: float | None
 
     def to_dict(self) -> dict:
-        # an unset tau (NaN) is JSON null: strict JSON has no NaN literal
         return {
-            "tau": None if math.isnan(self.tau_used) else self.tau_used,
+            "tau": self.tau_used,
             "iou": dict(zip(_CLASS_NAMES, self.iou_per_class)),
             "mean_change_iou": self.mean_change_iou,
         }
 
 
-def iou(cm: np.ndarray, tau_used: float = math.nan) -> Metrics:
+def iou(cm: np.ndarray, tau_used: float | None = None) -> Metrics:
     """IoU_c = TP / (TP + FP + FN) per class.
 
     A class absent from both ground truth and prediction has an empty

@@ -17,11 +17,10 @@ Both run one stabilized scaling iteration (Schmitzer, SIAM J. Sci. Comput.
 log-potentials folded in so that no entry underflows at the start, and the
 scalings are absorbed back into the kernel whenever they drift far from 1.
 Each sweep is two BLAS matrix-vector products into buffers allocated once
-per solve; at the ~650x88 chunks of a halo sweep the pair takes ~24 us, where
-an einsum took ~56 us. Sweeps of both problems are over-relaxed once the
-rate at which they converge has been measured. An exact
-linear-programming oracle for tiny instances and the barycentric projection
-of a plan onto the target support live here too.
+per solve. Sweeps of both problems are over-relaxed once the rate at which
+they converge has been measured. An exact linear-programming oracle for tiny
+instances and the barycentric projection of a plan onto the target support
+live here too.
 """
 
 from __future__ import annotations
@@ -220,8 +219,6 @@ def cost_matrix(X0: np.ndarray, X1: np.ndarray) -> np.ndarray:
     center = 0.5 * (X0.mean(axis=0) + X1.mean(axis=0))
     A = X0 - center
     B = X1 - center
-    # one gemm: ~4 ns per cell, against ~14 ns for the same product as an
-    # einsum
     try:
         C = (-2.0 * A) @ B.T
     except MemoryError as exc:
@@ -371,12 +368,10 @@ def _sinkhorn(
     3.6e-3 m for plain sweeps.
 
     Mat-vecs are BLAS gemv calls (``np.matmul``) into vectors allocated
-    once per solve, and the scalings are updated in place. At the ~650x88
-    chunks of a halo sweep a gemv pair takes ~24 us against ~56 us for the
-    einsum pair, which sums in another order: scores moved by at most
-    ~4e-14 m and sweep counts did not change. A product that OpenBLAS
-    splits across threads (a gemv from ~9.2k cells) can round differently
-    at another BLAS thread count; the worker count does not change it.
+    once per solve, and the scalings are updated in place. A product that
+    OpenBLAS splits across threads (a gemv from ~9.2k cells) can round
+    differently at another BLAS thread count; the worker count does not
+    change it.
     """
     n0, n1 = C.shape
     mu0 = 1.0 / n0

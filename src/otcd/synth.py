@@ -202,24 +202,6 @@ def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESETS))
 
 
-def scene_spec_to_dict(spec: SceneSpec) -> dict:
-    return {
-        "extent": spec.extent,
-        "ground_density": spec.ground_density,
-        "density_t1_ratio": spec.density_t1_ratio,
-        "noise_sigma_z": spec.noise_sigma_z,
-        "seed": spec.seed,
-        "buildings": [
-            {
-                "footprint": list(b.footprint),
-                "height": b.height,
-                "status": b.status,
-            }
-            for b in spec.buildings
-        ],
-    }
-
-
 def buildings_from_list(items) -> tuple[Building, ...]:
     """Buildings from decoded JSON: a list of objects with ``footprint``
     ``[x0, y0, x1, y1]``, ``height`` and ``status``. A missing or ill-typed

@@ -13,7 +13,7 @@ from otcd.chunking import (
     chunk_stats,
 )
 from otcd.detection import merge_scores
-from otcd.io import BoundingBox, PointCloud
+from otcd.io import PointCloud
 
 
 def _cloud(xy, z=0.0):
@@ -96,7 +96,9 @@ class TestBuildChunks:
         pc0 = _random_cloud(rng, 400)
         pc1 = _random_cloud(rng, 400)
         for chunk in build_chunks(pc0, pc1, ChunkingConfig(point_cap=50)):
-            assert chunk.region.contains_xy(pc1.xyz[chunk.target_indices, :2]).all()
+            x0, y0, x1, y1 = chunk.region
+            xy = pc1.xyz[chunk.target_indices, :2]
+            assert ((xy >= (x0, y0)) & (xy <= (x1, y1))).all()
 
     def test_halo_grows_sources(self):
         rng = np.random.default_rng(6)
@@ -108,13 +110,37 @@ class TestBuildChunks:
         )
         assert len(plain) == len(haloed)
         grew = 0
+        xy = pc0.xyz[:, :2]
         for p, h in zip(plain, haloed):
             np.testing.assert_array_equal(p.target_indices, h.target_indices)
+            assert h.region == p.region
             assert set(p.source_indices) <= set(h.source_indices)
-            expanded = p.region.expanded_xy(10.0)
-            assert expanded.contains_xy(pc0.xyz[h.source_indices, :2]).all()
+            # exactly the sources in the grown cell, in ascending index order
+            x0, y0, x1, y1 = p.region
+            inside = (xy >= (x0 - 10.0, y0 - 10.0)) & (xy <= (x1 + 10.0, y1 + 10.0))
+            np.testing.assert_array_equal(
+                h.source_indices, np.flatnonzero(inside.all(axis=1))
+            )
             grew += len(h.source_indices) > len(p.source_indices)
         assert grew > 0
+
+    def test_halo_edge_is_closed(self):
+        # one target per corner and cap 3: a single split at (10, 10) gives
+        # the lower-left chunk the cell (0, 0, 10, 10)
+        pc1 = _cloud([[0, 0], [20, 0], [0, 20], [20, 20]])
+        halo = 0.3
+        edge = 10.0 + halo
+        beyond = np.nextafter(edge, np.inf)
+        # sources in the neighbouring cells, on and one ulp past the grown
+        # edge in x and in y; the lower-left chunk's own source is index 3
+        pc0 = _cloud([[beyond, 5], [edge, 5], [5, beyond], [5, 5], [5, edge]])
+        plain = build_chunks(pc0, pc1, ChunkingConfig(point_cap=3))[0]
+        haloed = build_chunks(
+            pc0, pc1, ChunkingConfig(point_cap=3, halo_margin=halo)
+        )[0]
+        assert plain.region == haloed.region == (0.0, 0.0, 10.0, 10.0)
+        np.testing.assert_array_equal(plain.source_indices, [3])
+        np.testing.assert_array_equal(haloed.source_indices, [1, 3, 4])
 
     def test_empty_source_chunk_kept_and_flagged(self):
         # all epoch-0 mass in one corner, epoch-1 points in both corners
@@ -189,7 +215,7 @@ def _unit_chunk(target_indices, chunk_id=0, source_indices=None):
             source_indices if source_indices is not None else target_indices
         ),
         target_indices=np.asarray(target_indices),
-        region=BoundingBox(np.zeros(3), np.ones(3)),
+        region=(0.0, 0.0, 1.0, 1.0),
         chunk_id=chunk_id,
     )
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import otcd.io
 from otcd.io import (
-    BoundingBox,
     PointCloud,
     PointCloudFormatError,
     read_ply,
@@ -470,12 +469,6 @@ class TestReaderFastPath:
         path = _write(tmp_path, "nan.xyz", "0 0 nan\n\n")
         with pytest.raises(PointCloudFormatError, match=r":1: non-finite"):
             read_xyz(path)
-
-
-class TestBoundingBox:
-    def test_invalid_box_rejected(self):
-        with pytest.raises(ValueError):
-            BoundingBox(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0]))
 
 
 class TestPointCloudValidation:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,11 @@ class TestIoU:
         assert payload["tau"] == 2.0
         assert set(payload["iou"]) == {"unchanged", "new", "demolished"}
         assert "mean_change_iou" in payload
+
+    def test_unset_tau_is_json_null(self):
+        m = iou(confusion(np.array([0]), np.array([0])))
+        assert m.tau_used is None
+        assert json.loads(json.dumps(m.to_dict()))["tau"] is None
 
 
 def _scene_cfg(tau=1.0):

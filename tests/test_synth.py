@@ -1,8 +1,10 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
+from otcd.cli import EXIT_OK, run
 from otcd.io import CLASS_DEMOLISHED, CLASS_NEW, CLASS_UNCHANGED
 from otcd.synth import (
     Building,
@@ -11,7 +13,6 @@ from otcd.synth import (
     generate_pair,
     preset,
     preset_names,
-    scene_spec_to_dict,
 )
 
 
@@ -208,20 +209,26 @@ class TestPresets:
         assert "multi_density" in preset_names()
 
 
-def test_spec_dict_records_every_field():
-    spec = _spec(
-        buildings=(Building((2, 2, 8, 8), 4.0, "removed"),),
-        noise_sigma_z=0.2,
-        density_t1_ratio=0.5,
+def test_spec_dict_records_every_field(tmp_path):
+    buildings = [{"footprint": [2, 2, 8, 8], "height": 4.0, "status": "removed"}]
+    bpath = tmp_path / "b.json"
+    bpath.write_text(json.dumps(buildings))
+    prefix = str(tmp_path / "scene")
+    code = run(
+        ["synth", "--preset", "multi_density", "--seed", "42", "--extent", "30",
+         "--buildings", str(bpath), "--out-prefix", prefix]
     )
-    assert scene_spec_to_dict(spec) == {
+    assert code == EXIT_OK
+    with open(prefix + "_scene.json", encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert recorded == {
         "extent": 30.0,
-        "ground_density": 3.0,
-        "density_t1_ratio": 0.5,
-        "noise_sigma_z": 0.2,
+        "ground_density": 4.0,
+        "density_t1_ratio": 0.3,
+        "buildings": buildings,
+        "noise_sigma_z": 0.1,
         "seed": 42,
-        "buildings": [
-            {"footprint": [2, 2, 8, 8], "height": 4.0, "status": "removed"}
-        ],
     }
-    assert buildings_from_list(scene_spec_to_dict(spec)["buildings"]) == spec.buildings
+    assert buildings_from_list(recorded["buildings"]) == (
+        Building((2, 2, 8, 8), 4.0, "removed"),
+    )
