@@ -9,15 +9,17 @@ Formats handled here:
   (uchar) written by :func:`write_ply_scored`.
 
 Readers return fresh arrays and never modify their inputs; writers create or
-overwrite the file they are given. No module state is shared.
+overwrite the file they are given. The only module state is the writers'
+read-only glyph table, built at first use.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,13 +28,13 @@ CLASS_NEW = 1
 CLASS_DEMOLISHED = 2
 VALID_CLASSES = (CLASS_UNCHANGED, CLASS_NEW, CLASS_DEMOLISHED)
 
-# Coordinates are stored as float64 and emitted with at least 6 significant
-# digits; these formats keep ASCII round-trips lossless for survey-scale data.
-_COORD_FMT = "%.12g"
-_SCORE_FMT = "%.9g"
+# Coordinates are stored as float64 and emitted as %.12g, scores as %.9g;
+# these keep ASCII round-trips lossless for survey-scale data.
+_COORD_DIGITS = 12
+_SCORE_DIGITS = 9
 
-# rows that _write_rows formats with one `%`; bounds its temporary strings
-_WRITE_BLOCK_ROWS = 1024
+# rows that _write_rows formats at once; bounds its temporary arrays
+_WRITE_BLOCK_ROWS = 16384
 
 
 class PointCloudFormatError(ValueError):
@@ -60,18 +62,14 @@ class PointCloud:
         if not np.isfinite(self.xyz).all():
             raise ValueError("point coordinates must be finite")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (len(self.xyz),):
+            labels = np.asarray(self.labels)
+            if labels.shape != (len(self.xyz),):
                 raise ValueError(
-                    f"labels length {self.labels.shape} does not match "
+                    f"labels length {labels.shape} does not match "
                     f"{len(self.xyz)} points"
                 )
-            bad = ~np.isin(self.labels, VALID_CLASSES)
-            if bad.any():
-                raise ValueError(
-                    f"labels must be in {VALID_CLASSES}; "
-                    f"found {self.labels[bad][0]}"
-                )
+            _check_classes(labels, "labels")
+            self.labels = labels.astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return len(self.xyz)
@@ -106,12 +104,8 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
 
 def write_xyz(path: str | os.PathLike, cloud: PointCloud) -> None:
     """Write ``x y z [label]`` lines; the label column appears when present."""
-    columns, fmt = [cloud.xyz], [_COORD_FMT] * 3
-    if cloud.labels is not None:
-        columns.append(cloud.labels)
-        fmt.append("%d")
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_rows(fh, np.column_stack(columns), fmt)
+    with open(path, "wb") as fh:
+        _write_rows(fh, cloud.xyz.T, [_COORD_DIGITS] * 3, cloud.labels)
 
 
 def write_ply_scored(
@@ -123,33 +117,48 @@ def write_ply_scored(
     """Emit an ASCII PLY with per-vertex change score and class.
 
     Vertex properties: ``x y z`` (double), ``change_score`` (float, may be
-    ``inf`` for unreached points), ``change_class`` (uchar in {0, 1, 2}).
+    ``inf`` for unreached points, never NaN), ``change_class`` (uchar in
+    {0, 1, 2}; a value that is not one of them, such as 2.7, is an error).
     Output round-trips through :func:`read_ply`.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    classes = np.asarray(classes, dtype=np.int64)
+    classes = np.asarray(classes)
     n = len(cloud)
     if scores.shape != (n,) or classes.shape != (n,):
         raise ValueError(
             f"scores {scores.shape} and classes {classes.shape} must both "
             f"have length {n}"
         )
-    if not np.isin(classes, VALID_CLASSES).all():
-        raise ValueError(f"classes must be in {VALID_CLASSES}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ply\n")
-        fh.write("format ascii 1.0\n")
-        fh.write(f"element vertex {n}\n")
-        fh.write("property double x\n")
-        fh.write("property double y\n")
-        fh.write("property double z\n")
-        fh.write("property float change_score\n")
-        fh.write("property uchar change_class\n")
-        fh.write("end_header\n")
+    _check_classes(classes, "classes")
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN; inf marks an unreached point")
+    with open(path, "wb") as fh:
+        fh.write(
+            b"ply\n"
+            b"format ascii 1.0\n"
+            b"element vertex %d\n"
+            b"property double x\n"
+            b"property double y\n"
+            b"property double z\n"
+            b"property float change_score\n"
+            b"property uchar change_class\n"
+            b"end_header\n" % n
+        )
         _write_rows(
             fh,
-            np.column_stack([cloud.xyz, scores, classes]),
-            [_COORD_FMT] * 3 + [_SCORE_FMT, "%d"],
+            [*cloud.xyz.T, scores],
+            [_COORD_DIGITS] * 3 + [_SCORE_DIGITS],
+            classes.astype(np.int64),
+        )
+
+
+def _check_classes(values: np.ndarray, name: str) -> None:
+    """Raise ValueError unless every value is a class id from VALID_CLASSES;
+    a non-integer such as 2.7 is not one."""
+    bad = ~np.isin(values, VALID_CLASSES)
+    if bad.any():
+        raise ValueError(
+            f"{name} must be in {VALID_CLASSES}; found {values[bad][0]}"
         )
 
 
@@ -362,17 +371,184 @@ def _read_rows(
     return table, np.frombuffer(linenos, dtype=np.int64)
 
 
-def _write_rows(fh, table: np.ndarray, fmt: list[str]) -> None:
-    """Write each row of ``table`` as its ``fmt`` fields joined by spaces.
+def _write_rows(
+    fh, columns: Sequence[np.ndarray], digits: list[int], classes: np.ndarray | None
+) -> None:
+    """Write one row per point to the binary file ``fh``: each float column
+    ``columns[i]`` as ``%.{digits[i]}g``, then the class id as ``%d`` when
+    ``classes`` is given, joined by spaces.
 
-    The bytes equal ``np.savetxt(fh, table, fmt=fmt)``; a block of
-    ``_WRITE_BLOCK_ROWS`` rows is formatted with one ``%`` instead of one
-    per row.
+    The bytes equal ``np.savetxt`` of the stacked columns with those
+    formats. Floats must not be NaN, and class ids must be in VALID_CLASSES.
+    Each block of ``_WRITE_BLOCK_ROWS`` rows is laid out as a frame of
+    4-byte glyph slots, one row of slots per point (see :class:`_GColumn`),
+    and written with the frame's NUL padding removed.
     """
-    row_fmt = " ".join(fmt) + "\n"
-    for start in range(0, len(table), _WRITE_BLOCK_ROWS):
-        block = table[start : start + _WRITE_BLOCK_ROWS]
-        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    glyphs = _glyphs()
+    n = len(columns[0])
+    for start in range(0, n, _WRITE_BLOCK_ROWS):
+        block = slice(start, start + _WRITE_BLOCK_ROWS)
+        fields = [_GColumn(column[block], d) for column, d in zip(columns, digits)]
+        # slot-major, so that every gather writes one contiguous row
+        slots = np.empty(
+            (sum(f.n_slots for f in fields) + 1, len(fields[0].x)), np.uint32
+        )
+        first = 0
+        for i, field in enumerate(fields):
+            field.fill(slots[first : first + field.n_slots], glyphs, sep=i > 0)
+            first += field.n_slots
+        if classes is None:
+            slots[first] = glyphs[_NEWLINE]
+        else:
+            np.take(glyphs, classes[block] + _CLASS, out=slots[first], mode="clip")
+        del fields
+        frame = bytearray(slots.nbytes)
+        np.frombuffer(frame, np.uint32).reshape(slots.shape[::-1])[...] = slots.T
+        del slots
+        fh.write(frame.translate(None, b"\0"))
+
+
+# Regions of the glyph table (see _glyphs). Each 4-digit group 0000-9999 in
+# four spellings: as printed, with leading zeros blanked, with leading zeros
+# blanked but the units digit kept, and with trailing zeros blanked. Then
+# each 3-digit group 000-999 after the point, as printed and with trailing
+# zeros blanked, where a blank group drops the point too.
+_FULL, _LEAD, _UNIT, _TRAIL, _POINT, _POINT_TRAIL = (
+    0, 10_000, 20_000, 30_000, 40_000, 41_000
+)
+# then single glyphs: a sign slot is _SIGN + 2·(separator) + (negative), a
+# class slot _CLASS + class id
+_INF, _NEWLINE, _SIGN, _CLASS = 42_000, 42_001, 42_002, 42_006
+_SINGLE_GLYPHS = (
+    b"\0inf", b"\n", b"", b"-", b" ", b" -", b" 0\n", b" 1\n", b" 2\n"
+)
+
+# exact powers of ten; a float64 holds 10**k exactly up to k = 22
+_POW10 = np.array([10**k for k in range(17)], dtype=np.float64)
+_POW10_INT = np.array([10**k for k in range(17)], dtype=np.int64)
+
+
+@functools.cache
+def _glyphs() -> np.ndarray:
+    """The glyph table of :func:`_write_rows`: up to 4 ASCII bytes per
+    uint32 entry, padded with NULs."""
+    group = np.arange(10_000, dtype=np.int16)
+    decimals = np.stack(
+        [group // 1000, group // 100 % 10, group // 10 % 10, group % 10], axis=1
+    ).astype(np.uint8)
+    chars = decimals + np.uint8(ord("0"))
+    leading = np.cumsum(decimals, axis=1) == 0
+    units = leading.copy()
+    units[:, 3] = False
+    trailing = np.cumsum(decimals[:, ::-1], axis=1)[:, ::-1] == 0
+    table = np.zeros((_CLASS + len(VALID_CLASSES), 4), np.uint8)
+    for start, blank in (
+        (_FULL, False), (_LEAD, leading), (_UNIT, units), (_TRAIL, trailing)
+    ):
+        table[start : start + 10_000] = np.where(blank, 0, chars)
+    point = chars[:1000].copy()
+    point[:, 0] = ord(".")
+    table[_POINT : _POINT + 1000] = point
+    table[_POINT_TRAIL : _POINT_TRAIL + 1000] = np.where(trailing[:1000], 0, point)
+    for i, glyph in enumerate(_SINGLE_GLYPHS):
+        table[_INF + i, : len(glyph)] = np.frombuffer(glyph, np.uint8)
+    glyphs = table.view(np.uint32).ravel()
+    glyphs.flags.writeable = False
+    return glyphs
+
+
+class _GColumn:
+    """One block of a float column printed as ``%.{digits}g``, split into
+    the glyph slots of :func:`_write_rows`.
+
+    A field takes ``n_slots`` slots: the separator and sign; the integer
+    part, right-aligned in ``n_int`` 4-digit groups; the point and the
+    fraction, left-aligned in ``n_frac`` slots, the first of them the point
+    and 3 digits, the others 4 digits each. Leading zeros of the integer
+    part (but its units digit), trailing zeros of the fraction, and the
+    point of a value without a fraction are NUL. The counts are the fewest
+    that hold every value of the block.
+
+    ``%g`` prints a value of decimal exponent X in [-4, digits - 1] in fixed
+    point, with k = digits - 1 - X fraction digits and trailing zeros
+    dropped. Its digits are rint(m) for m = |x|·10^k, one correctly rounded
+    product by an exact power of ten. Python's ``%`` formats a value instead,
+    one at a time, and its text fills the field: when m lies within
+    10^digits·2^-51 of a rounding tie (the product's rounding may have
+    crossed it); when m lies outside [10^(digits-1), 10^digits) or rounds
+    up to 10^digits (log10 missed the decade, or the digits carry into the
+    next one); and when X is outside that range, where ``%g`` uses the
+    exponent form. ±0 and ±inf are literals.
+    """
+
+    def __init__(self, x: np.ndarray, digits: int):
+        self.x = x
+        a = np.abs(x)
+        inf = np.isinf(a)
+        self.inf = np.flatnonzero(inf)
+        nonzero = (a != 0) & ~inf
+        a = np.where(nonzero, a, 1.0)
+        k = (digits - 1) - np.floor(np.log10(a))
+        fixed = nonzero & (k >= 0) & (k <= digits + 3)
+        k = np.where(fixed, k, 0).astype(np.intp)
+        scale = _POW10[k]
+        m = a * scale
+        mantissa = np.rint(m)
+        fixed &= np.abs(m - mantissa) <= 0.5 - 10.0**digits * 2.0**-51
+        fixed &= (m >= _POW10[digits - 1]) & (mantissa < _POW10[digits])
+        self.fallback = np.flatnonzero(nonzero & ~fixed)
+        mantissa *= fixed
+        scale[~fixed] = 1.0
+        self.k = k * fixed
+        # exact: a quotient of integers below 10^digits by a power of ten
+        # lies at least 10^-digits from the next integer
+        integer = np.floor(mantissa / scale)
+        self.integer = integer.astype(np.int64)
+        self.fraction = (mantissa - integer * scale).astype(np.int64)
+
+        self.texts = [b"%.*g" % (digits, v) for v in x[self.fallback].tolist()]
+        self.n_int = -(-len(str(self.integer.max(initial=0))) // 4)
+        # the point slot holds 3 fraction digits, the later ones 4 each
+        self.n_frac = -(-(int(self.k.max(initial=0)) + 1) // 4)
+        # a text must fit between the separator byte and the end of the field
+        longest = max(map(len, self.texts), default=0)
+        self.n_frac = max(self.n_frac, -(-(longest + 1) // 4) - 1 - self.n_int)
+        self.n_slots = 1 + self.n_int + self.n_frac
+
+    def fill(self, slots: np.ndarray, glyphs: np.ndarray, sep: bool) -> None:
+        """Write the field's glyphs into its ``n_slots`` rows of the
+        slot-major frame; ``sep`` puts a space before the value."""
+        n_int = self.n_int
+        take = functools.partial(np.take, glyphs, mode="clip")
+        take(np.signbit(self.x) + (_SIGN + 2 * sep), out=slots[0])
+        rest, groups = self.integer, []
+        for _ in range(n_int - 1):
+            rest, group = np.divmod(rest, 10_000)
+            groups.append(group)
+        groups.append(rest)
+        leading = np.ones(len(self.x), bool)  # no digit printed yet
+        for row, group in enumerate(reversed(groups), start=1):
+            if row < n_int:
+                take(group + _LEAD * leading, out=slots[row])
+                leading &= group == 0
+            else:
+                index = group + _UNIT * leading
+                index[self.inf] = _INF
+                take(index, out=slots[row])
+        rest = self.fraction * _POW10_INT[4 * self.n_frac - 1 - self.k]
+        trailing = np.ones(len(self.x), bool)  # only zeros after this group
+        for row in range(self.n_slots - 1, n_int + 1, -1):
+            rest, group = np.divmod(rest, 10_000)
+            take(group + _TRAIL * trailing, out=slots[row])
+            trailing &= group == 0
+        take(rest + np.where(trailing, _POINT_TRAIL, _POINT), out=slots[n_int + 1])
+        if self.texts:
+            width = 4 * self.n_slots
+            head = b" " if sep else b"\0"
+            text = b"".join((head + t).ljust(width, b"\0") for t in self.texts)
+            slots[:, self.fallback] = np.frombuffer(text, np.uint32).reshape(
+                -1, self.n_slots
+            ).T
 
 
 def _reject_rows(path, bad: np.ndarray, linenos, values, what: str) -> None:

@@ -217,6 +217,33 @@ class TestPly:
         with pytest.raises(ValueError, match="length"):
             write_ply_scored(tmp_path / "bad.ply", cloud, np.array([]), np.array([]))
 
+    @pytest.mark.parametrize("classes", [[2.7, 0.4], [1.0, 0.5], [3, 0], [0, -1]])
+    def test_non_class_ids_rejected(self, tmp_path, classes):
+        path = tmp_path / "bad.ply"
+        with pytest.raises(ValueError, match=r"classes must be in \(0, 1, 2\)"):
+            write_ply_scored(
+                path, PointCloud(xyz=np.zeros((2, 3))), np.zeros(2), np.array(classes)
+            )
+        assert not path.exists()
+
+    def test_integral_float_classes_accepted(self, tmp_path):
+        path = tmp_path / "ok.ply"
+        write_ply_scored(
+            path, PointCloud(xyz=np.zeros((2, 3))), np.zeros(2), np.array([2.0, 0.0])
+        )
+        assert read_ply(path)[2].tolist() == [2, 0]
+
+    def test_nan_score_rejected(self, tmp_path):
+        path = tmp_path / "nan.ply"
+        with pytest.raises(ValueError, match="NaN"):
+            write_ply_scored(
+                path,
+                PointCloud(xyz=np.zeros((2, 3))),
+                np.array([np.inf, np.nan]),
+                np.array([0, 1]),
+            )
+        assert not path.exists()
+
     def test_xyz_only_ply(self, tmp_path):
         path = _write(
             tmp_path,
@@ -371,6 +398,126 @@ class TestWriteRowsBlockEdges:
         assert scores.shape == (0,) and classes.shape == (0,)
 
 
+# values where a numpy formatter is most likely to part from printf: decade
+# edges, the edges of the fixed-point range of %g, values that round up into
+# the exponent form, exact 12- and 9-digit ties, decimal ties that binary
+# rounds to either side, extremes
+_EDGE_VALUES = [
+    9.9999999999995e-5, 999999999999.5, 1e12, 1e-5, 0.0001, 5e-324,
+    999999999999.7, 999999999.7,
+    1.7976931348623157e308, 4512345.678, 0.0, -0.0, 1.0, 10.0, 0.5, 2.5,
+    123456789012.5, 123456789.5, 0.1234567890125, 0.0001234567895,
+    99999999999.95, 999999999.5, 99999999.95, 9.9999999995e-5, 1e11, 1e9,
+    2.2250738585072014e-308, 1e-300, 1e300, 4503599627370495.5,
+]
+
+
+def _ties(digits):
+    """Decimal ties at ``digits`` significant digits, scaled so that binary
+    rounds them to either side."""
+    return st.tuples(
+        st.integers(10 ** (digits - 1), 10**digits - 1), st.integers(-20, 20)
+    ).map(lambda t: (t[0] + 0.5) * 10.0 ** t[1])
+
+
+def _any_float(digits):
+    return st.one_of(
+        st.floats(allow_nan=False, allow_subnormal=True),
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.sampled_from(_EDGE_VALUES),
+        _ties(digits),
+    )
+
+
+class TestRowFormat:
+    """The writers' rows equal np.savetxt with %.12g coordinates, a %.9g
+    score and a %d class, for any float64 the writer accepts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                _any_float(12).filter(math.isfinite),
+                st.sampled_from(_EDGE_VALUES) | _ties(12),
+                st.floats(-1e4, 1e4, allow_subnormal=True),
+                _any_float(9),
+                st.sampled_from([0, 1, 2]),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_scored_ply_matches_savetxt(self, tmp_path_factory, rows):
+        table = np.array(rows, dtype=np.float64)
+        xyz, scores, classes = table[:, :3], table[:, 3], table[:, 4].astype(int)
+        path = tmp_path_factory.mktemp("fmt") / "p.ply"
+        write_ply_scored(path, PointCloud(xyz=xyz), scores, classes)
+        body = path.read_bytes().split(b"end_header\n")[1]
+        assert body == _savetxt_bytes(table, _COORD_FMTS + ["%.9g", "%d"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_any_float(12), min_size=1, max_size=12),
+        st.lists(_any_float(9), min_size=1, max_size=12),
+    )
+    def test_each_precision_matches_percent(self, coords, scores):
+        for values, digits in ((coords, 12), (scores, 9)):
+            fh = io.BytesIO()
+            otcd.io._write_rows(fh, [np.array(values)], [digits], None)
+            want = "".join("%.*g\n" % (digits, v) for v in values).encode()
+            assert fh.getvalue() == want
+
+    def test_edge_values_in_every_column_kind(self, tmp_path):
+        values = np.array(_EDGE_VALUES + [-v for v in _EDGE_VALUES])
+        xyz = np.column_stack([values, values[::-1], np.roll(values, 7)])
+        classes = np.arange(len(values)) % 3
+        path = tmp_path / "edge.xyz"
+        write_xyz(path, PointCloud(xyz=xyz, labels=classes))
+        assert path.read_bytes() == _savetxt_bytes(
+            np.column_stack([xyz, classes]), _COORD_FMTS + ["%d"]
+        )
+        scores = np.concatenate([values[:-2], [np.inf, -np.inf]])
+        write_ply_scored(tmp_path / "edge.ply", PointCloud(xyz=xyz), scores, classes)
+        body = (tmp_path / "edge.ply").read_bytes().split(b"end_header\n")[1]
+        assert body == _savetxt_bytes(
+            np.column_stack([xyz, scores, classes]), _COORD_FMTS + ["%.9g", "%d"]
+        )
+
+    def test_blocks_with_different_layouts(self, tmp_path):
+        """Each block sizes its fields to its own values: here small
+        fractions, then UTM-scale coordinates and exponent forms."""
+        n = otcd.io._WRITE_BLOCK_ROWS + 5
+        rng = np.random.default_rng(3)
+        xyz = rng.uniform(0, 1e-3, size=(n, 3))
+        xyz[otcd.io._WRITE_BLOCK_ROWS :] = [
+            [4512345.678, 1e15, -2.5e-9],
+            [512345.6789, -123456789012.5, 0],
+            [1e-300, 5e-324, 9.9999999999995e-5],
+            [3.0, -0.0, 1e300],
+            [-4512345.678, 0.5, 7.25],
+        ]
+        scores = rng.normal(size=n)
+        scores[-3:] = [np.inf, 1e-7, -3e12]
+        classes = np.arange(n) % 3
+        path = tmp_path / "blocks.ply"
+        write_ply_scored(path, PointCloud(xyz=xyz), scores, classes)
+        body = path.read_bytes().split(b"end_header\n")[1]
+        assert body == _savetxt_bytes(
+            np.column_stack([xyz, scores, classes]), _COORD_FMTS + ["%.9g", "%d"]
+        )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_no_runtime_warning(self, tmp_path, n):
+        extremes = [0.0, -0.0, 1.7976931348623157e308, -1e300, 5e-324]
+        xyz = np.resize(np.array(extremes), (n, 3))
+        scores = np.resize(np.array([np.inf, -np.inf, 0.0, 1e308]), n)
+        classes = np.zeros(n, dtype=int)
+        write_xyz(tmp_path / "w.xyz", PointCloud(xyz=xyz, labels=classes))
+        write_ply_scored(tmp_path / "w.ply", PointCloud(xyz=xyz), scores, classes)
+        assert read_ply(tmp_path / "w.ply")[0].xyz.shape == (n, 3)
+
+
 _PLY_HEADER = (
     "ply\nformat ascii 1.0\nelement vertex {n}\n"
     "property double x\nproperty double y\nproperty double z\n"
@@ -479,6 +626,15 @@ class TestPointCloudValidation:
     def test_label_range(self):
         with pytest.raises(ValueError, match="labels"):
             PointCloud(xyz=np.zeros((1, 3)), labels=np.array([5]))
+
+    @pytest.mark.parametrize("label", [2.7, 0.4, np.nan])
+    def test_non_integer_label_rejected(self, label):
+        with pytest.raises(ValueError, match=r"labels must be in \(0, 1, 2\)"):
+            PointCloud(xyz=np.zeros((1, 3)), labels=[label])
+
+    def test_integral_float_labels_become_int64(self):
+        cloud = PointCloud(xyz=np.zeros((2, 3)), labels=[2.0, 1.0])
+        assert cloud.labels.dtype == np.int64 and cloud.labels.tolist() == [2, 1]
 
     def test_nonfinite_coordinates(self):
         with pytest.raises(ValueError, match="finite"):
