@@ -32,8 +32,10 @@ class ChunkingError(ValueError):
 
 @dataclass(frozen=True)
 class ChunkingConfig:
-    """``point_cap`` bounds both epochs' per-chunk counts; ``halo_margin``
-    (meters) expands each chunk's source-selection region in XY."""
+    """``point_cap`` bounds a chunk's targets and the sources of its own
+    cell; ``halo_margin`` (meters) expands each chunk's source-selection
+    region in XY. With a positive halo the grown cell's sources can exceed
+    the cap, which ``build_chunks`` logs as a warning."""
 
     point_cap: int = 30_000
     halo_margin: float = 0.0
@@ -72,7 +74,9 @@ def build_chunks(
     Quadrant assignment is deterministic: a point exactly on a splitting
     line goes to the lower-index (left/bottom) quadrant. Leaves with no
     target points are dropped; leaves with targets but no sources are kept
-    (genuinely new construction in empty terrain is a valid scene).
+    (genuinely new construction in empty terrain is a valid scene). With a
+    positive halo margin a chunk's sources are the earlier-epoch points in
+    its closed cell grown by the margin, in ascending index order.
 
     Raises:
         ChunkingError: an empty input cloud, or more than ``point_cap``
@@ -85,70 +89,51 @@ def build_chunks(
     xy1 = pc1.xyz[:, :2]
     lo = np.minimum(xy0.min(axis=0), xy1.min(axis=0))
     hi = np.maximum(xy0.max(axis=0), xy1.max(axis=0))
+    h = cfg.halo_margin
+    chunks: list[ChunkPair] = []
 
-    leaves: list[tuple[float, float, float, float, np.ndarray, np.ndarray]] = []
-    stack = [
-        (
-            float(lo[0]),
-            float(lo[1]),
-            float(hi[0]),
-            float(hi[1]),
-            np.arange(len(pc0)),
-            np.arange(len(pc1)),
-            0,
-        )
-    ]
-    while stack:
-        x0, y0, x1, y1, i0, i1, depth = stack.pop()
+    def split(rect, i0, i1, halo, depth):
+        # halo: the sources inside the closed cell grown by h, ascending
         if max(len(i0), len(i1)) <= cfg.point_cap:
-            leaves.append((x0, y0, x1, y1, i0, i1))
-            continue
+            if len(i1):
+                src = halo if h > 0 else i0
+                chunks.append(ChunkPair(src, i1, rect, chunk_id=len(chunks)))
+            return
+        x0, y0, x1, y1 = rect
         mid_x = 0.5 * (x0 + x1)
         mid_y = 0.5 * (y0 + y1)
         # quadrant index = (x > mid_x) + 2*(y > mid_y); boundary ties land
         # in the lower-index quadrant
         q0 = (xy0[i0, 0] > mid_x).astype(np.int8) + 2 * (xy0[i0, 1] > mid_y)
         q1 = (xy1[i1, 0] > mid_x).astype(np.int8) + 2 * (xy1[i1, 1] > mid_y)
+        children = [(i0[q0 == q], i1[q1 == q]) for q in range(4)]
+        # a split can only stall where it leaves every point in one quadrant
+        # (or at the depth limit), so only there is the node's span checked
+        if depth >= _MAX_DEPTH or any(
+            len(c0) == len(i0) and len(c1) == len(i1) for c0, c1 in children
+        ):
+            _check_splittable(xy0[i0], xy1[i1], cfg.point_cap, depth)
         rects = (
             (x0, y0, mid_x, mid_y),
             (mid_x, y0, x1, mid_y),
             (x0, mid_y, mid_x, y1),
             (mid_x, mid_y, x1, y1),
         )
-        # push in reverse so quadrant 0 is processed first (stable chunk ids)
-        children = [
-            (*rects[q], i0[q0 == q], i1[q1 == q], depth + 1) for q in (3, 2, 1, 0)
-        ]
-        # a split can only stall where it leaves every point in one quadrant
-        # (or at the depth limit), so only there is the node's span checked
-        if depth >= _MAX_DEPTH or any(
-            len(c[4]) == len(i0) and len(c[5]) == len(i1) for c in children
-        ):
-            _check_splittable(xy0[i0], xy1[i1], cfg.point_cap, depth)
-        stack.extend(children)
+        # a float midpoint lies between its ends, so a child's grown cell
+        # lies inside its parent's and its halo sources are among the
+        # parent's; a midpoint that overflows to ±inf lies beyond the root
+        # cell, where there are no points
+        x, y = xy0[halo, 0], xy0[halo, 1]
+        for (c0, c1), (a0, b0, a1, b1) in zip(children, rects):
+            inside = (x >= a0 - h) & (x <= a1 + h) & (y >= b0 - h) & (y <= b1 + h)
+            split((a0, b0, a1, b1), c0, c1, halo[inside], depth + 1)
 
-    chunks: list[ChunkPair] = []
-    halo_overflow = 0
-    h = cfg.halo_margin
-    x, y = xy0[:, 0], xy0[:, 1]
-    for x0, y0, x1, y1, i0, i1 in leaves:
-        if len(i1) == 0:
-            continue
-        src = i0
-        if h > 0:
-            src = np.flatnonzero(
-                (x >= x0 - h) & (x <= x1 + h) & (y >= y0 - h) & (y <= y1 + h)
-            )
-            if len(src) > cfg.point_cap:
-                halo_overflow += 1
-        chunks.append(
-            ChunkPair(
-                source_indices=src,
-                target_indices=i1,
-                region=(x0, y0, x1, y1),
-                chunk_id=len(chunks),
-            )
-        )
+    every = np.arange(len(pc0))
+    root = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+    # without a halo every cell's halo set is empty and costs nothing
+    split(root, every, np.arange(len(pc1)), every if h > 0 else every[:0], 0)
+    # without a halo a leaf's sources are within the cap
+    halo_overflow = sum(len(c.source_indices) > cfg.point_cap for c in chunks)
     if halo_overflow:
         logger.warning(
             "halo margin %.3g pushed %d chunk(s) past the %d-point source cap",

@@ -254,9 +254,19 @@ def _parse_tau_grid(spec: str) -> list[float]:
         return values
     if stop < start:
         raise _UsageError(f"bad tau grid {spec!r}")
-    n = int(round((stop - start) / step))
-    taus = (round(start + k * step, 9) for k in range(n + 1))
-    return [t for t in taus if t <= stop + 1e-9]
+    # counted before the list is built: a tiny step would never finish
+    steps = (stop - start) / step
+    if steps > 10_000:
+        raise _UsageError(f"bad tau grid {spec!r}; more than 10000 steps")
+    taus = (round(start + k * step, 9) for k in range(round(steps) + 1))
+    taus = [t for t in taus if t <= stop + 1e-9]
+    # rounding is monotone, so the first value is the smallest
+    if taus[0] <= 0 or len(set(taus)) < len(taus):
+        raise _UsageError(
+            f"bad tau grid {spec!r}; its values rounded to 9 decimals must be "
+            "positive and distinct"
+        )
+    return taus
 
 
 def _diag_path(output: str) -> str:

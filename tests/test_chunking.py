@@ -194,19 +194,47 @@ class TestBuildChunks:
             np.testing.assert_array_equal(a.source_indices, b.source_indices)
             np.testing.assert_array_equal(a.target_indices, b.target_indices)
 
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 40))
-    def test_partition_property(self, seed, cap):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 40),
+        st.sampled_from([0.0, 0.0, 0.5, 1.0, 4.0]),
+    )
+    def test_partition_property(self, seed, cap, h):
+        # coordinates on a 1 m grid put points on split lines and on the
+        # grown edges of a 0.5, 1 or 4 m halo
         rng = np.random.default_rng(seed)
-        pc0 = _random_cloud(rng, int(rng.integers(1, 300)), extent=50.0)
-        pc1 = _random_cloud(rng, int(rng.integers(1, 300)), extent=50.0)
-        chunks = build_chunks(pc0, pc1, ChunkingConfig(point_cap=cap))
+        pc0, pc1 = (
+            _cloud(rng.integers(0, 51, (int(rng.integers(1, 300)), 2)))
+            for _ in range(2)
+        )
+        try:
+            chunks = build_chunks(
+                pc0, pc1, ChunkingConfig(point_cap=cap, halo_margin=h)
+            )
+        except ChunkingError as exc:
+            # more than cap points on one grid node
+            assert "coincident" in str(exc)
+            return
+        assert [c.chunk_id for c in chunks] == list(range(len(chunks)))
         tgt = np.concatenate([c.target_indices for c in chunks])
         assert len(tgt) == len(pc1)
         assert set(tgt.tolist()) == set(range(len(pc1)))
+        src = np.concatenate([c.source_indices for c in chunks])
+        xy = pc0.xyz[:, :2]
         for c in chunks:
-            assert len(c.source_indices) <= cap
             assert len(c.target_indices) <= cap
+            if h == 0:
+                assert len(c.source_indices) <= cap
+                continue
+            # the brute-force rule: every source in the closed grown cell
+            x0, y0, x1, y1 = c.region
+            inside = (xy >= (x0 - h, y0 - h)) & (xy <= (x1 + h, y1 + h))
+            np.testing.assert_array_equal(
+                c.source_indices, np.flatnonzero(inside.all(axis=1))
+            )
+        if h == 0:
+            assert len(src) == len(set(src.tolist()))
 
 
 def _unit_chunk(target_indices, chunk_id=0, source_indices=None):

@@ -222,6 +222,11 @@ _ABSENT = ["--t0", "absent_t0.xyz", "--t1", "absent_t1.xyz"]
         ["sweep", *_ABSENT, "--tau-grid", "1,inf", "-o", "o.json"],
         ["sweep", *_ABSENT, "--tau-grid", "0.5:nan:0.5", "-o", "o.json"],
         ["sweep", *_ABSENT, "--tau-grid", "0.5:inf:0.5", "-o", "o.json"],
+        # rounded to 9 decimals: four zeros, then a repeat of 0.1
+        ["sweep", *_ABSENT, "--tau-grid", "1e-10:1e-9:1e-10", "-o", "o.json"],
+        ["sweep", *_ABSENT, "--tau-grid", "0.1:0.1000000001:1e-10", "-o", "o.json"],
+        # 1e8 values, refused before the list is built
+        ["sweep", *_ABSENT, "--tau-grid", "1e-7:10:1e-7", "-o", "o.json"],
         ["chunk-stats", *_ABSENT, "--point-cap", "0"],
         ["eval", "--scored", "absent.ply", "--truth", "absent.xyz", "--tau", "0"],
         ["eval", "--scored", "absent.ply", "--truth", "absent.xyz", "--tau", "nan"],
