@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -29,6 +28,7 @@ from .detection import (
     METHOD_NN_BASELINE,
     METHOD_UNBALANCED_OT,
     ChangeDetectionConfig,
+    _check_tau,
     classify,
     detect_changes,
 )
@@ -55,9 +55,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_STRICT = 3
 
-# empirical defaults; see README for how they were chosen
-DEFAULT_EPSILON_REL = 0.01
-DEFAULT_RHO = 1000.0
 DEFAULT_TAU_GRID = "0.5:10:0.5"
 
 _METHODS = {
@@ -77,7 +74,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_solver_flags(p: _Parser) -> None:
+def _add_chunking_flags(p: _Parser) -> None:
+    p.add_argument(
+        "--point-cap",
+        type=int,
+        default=ChunkingConfig.point_cap,
+        help="most points of either epoch in one chunk's cell (default %(default)s)",
+    )
+    p.add_argument(
+        "--halo",
+        type=float,
+        default=ChunkingConfig.halo_margin,
+        help="meters that a chunk's sources reach past its cell (default %(default)s)",
+    )
+
+
+def _add_detection_flags(p: _Parser) -> None:
+    """The flags of ``detect`` and ``sweep``."""
+    p.add_argument(
+        "--method", choices=sorted(_METHODS), default="uot", help="(default %(default)s)"
+    )
     group = p.add_mutually_exclusive_group()
     group.add_argument(
         "--epsilon", type=float, help="entropic weight, squared meters (absolute)"
@@ -86,35 +102,31 @@ def _add_solver_flags(p: _Parser) -> None:
         "--epsilon-rel",
         type=float,
         help="entropic weight as a fraction of the per-chunk median cost "
-        f"(default {DEFAULT_EPSILON_REL})",
+        f"(default {SolverConfig().epsilon_rel} without --epsilon)",
     )
     p.add_argument(
         "--rho",
         type=float,
-        default=DEFAULT_RHO,
+        default=SolverConfig.rho,
         help="KL penalty weight on the source marginal (unbalanced OT), "
-        f"squared meters (default {DEFAULT_RHO})",
+        "squared meters (default %(default)s)",
     )
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    p.add_argument("--tol", type=float, default=SolverConfig.tol)
-
-
-def _add_method_flags(p: _Parser) -> None:
     p.add_argument(
-        "--method",
-        choices=sorted(_METHODS),
-        default="uot",
-        help="uot (default), ot, or nn",
+        "--max-iter",
+        type=int,
+        default=SolverConfig.max_iter,
+        help="most sweeps per chunk (default %(default)s)",
     )
-
-
-def _add_chunking_flags(p: _Parser) -> None:
-    p.add_argument("--point-cap", type=int, default=ChunkingConfig.point_cap)
-    p.add_argument("--halo", type=float, default=ChunkingConfig.halo_margin)
-
-
-def _add_run_flags(p: _Parser) -> None:
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=SolverConfig.tol,
+        help="L1 stopping gap on the source marginal (default %(default)s)",
+    )
+    _add_chunking_flags(p)
+    p.add_argument(
+        "--workers", type=int, help="chunk worker threads (default all cores)"
+    )
     p.add_argument(
         "--strict",
         action="store_true",
@@ -131,10 +143,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t1", required=True, help="later epoch (.xyz or .ply)")
     p.add_argument("--tau", type=float, required=True, help="class threshold, m")
     p.add_argument("-o", "--output", required=True, help="scored PLY path")
-    _add_method_flags(p)
-    _add_solver_flags(p)
-    _add_chunking_flags(p)
-    _add_run_flags(p)
+    _add_detection_flags(p)
 
     p = sub.add_parser("sweep", help="threshold sweep against labels on t1")
     p.add_argument("--t0", required=True)
@@ -142,15 +151,11 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--tau-grid",
         default=DEFAULT_TAU_GRID,
-        help="comma list or start:stop:step, inclusive "
-        f"(default {DEFAULT_TAU_GRID})",
+        help="comma list or start:stop:step, inclusive (default %(default)s)",
     )
     p.add_argument("--dataset", default=None, help="name stamped into the JSON")
     p.add_argument("-o", "--output", required=True, help="metrics JSON path")
-    _add_method_flags(p)
-    _add_solver_flags(p)
-    _add_chunking_flags(p)
-    _add_run_flags(p)
+    _add_detection_flags(p)
 
     p = sub.add_parser("eval", help="compare a scored PLY with a labeled cloud")
     p.add_argument("--scored", required=True, help="PLY written by detect")
@@ -193,14 +198,10 @@ def _config(make, *args, **fields):
 
 
 def _solver_config(args) -> SolverConfig:
-    epsilon = getattr(args, "epsilon", None)
-    epsilon_rel = getattr(args, "epsilon_rel", None)
-    if epsilon is None and epsilon_rel is None:
-        epsilon_rel = DEFAULT_EPSILON_REL
     return _config(
         SolverConfig,
-        epsilon=epsilon,
-        epsilon_rel=epsilon_rel,
+        epsilon=args.epsilon,
+        epsilon_rel=args.epsilon_rel,
         rho=args.rho,
         max_iter=args.max_iter,
         tol=args.tol,
@@ -212,8 +213,6 @@ def _chunking_config(args) -> ChunkingConfig:
 
 
 def _detection_config(args, tau: float) -> ChangeDetectionConfig:
-    if args.method == "uot" and args.rho == math.inf:
-        raise _UsageError("--rho inf is the balanced problem; use --method ot")
     return _config(
         ChangeDetectionConfig,
         solver=_solver_config(args),
@@ -246,10 +245,10 @@ def _parse_tau_grid(spec: str) -> list[float]:
         raise _UsageError(
             f"bad tau grid {spec!r}; want a comma list or start:stop:step"
         ) from None
-    if not all(0 < v < math.inf for v in values):
-        raise _UsageError(
-            f"bad tau grid {spec!r}; every value must be positive and finite"
-        )
+    if not values:
+        raise _UsageError("tau grid is empty")
+    for value in values:
+        _config(_check_tau, value)
     if ":" not in spec:
         return values
     if stop < start:
@@ -322,9 +321,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    grid = sorted(_parse_tau_grid(args.tau_grid))
-    if not grid:
-        raise _UsageError("tau grid is empty")
+    grid = _parse_tau_grid(args.tau_grid)
     cfg = _detection_config(args, tau=grid[0])
     pc0 = _load_cloud(args.t0)
     pc1 = _load_cloud(args.t1, want_labels=True)
@@ -345,8 +342,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.tau is not None and not 0 < args.tau < math.inf:
-        raise _UsageError(f"--tau must be positive and finite, got {args.tau}")
+    if args.tau is not None:
+        _config(_check_tau, args.tau)
     cloud, scores, classes = read_ply(args.scored)
     if scores is None or classes is None:
         raise PointCloudFormatError(
@@ -403,8 +400,8 @@ def _cmd_chunk_stats(args) -> int:
 
 def _cmd_bench(args) -> int:
     """Time cost matrix plus ``--iters`` unbalanced sweeps per size on
-    uniform random points; seed, epsilon_rel and rho are fixed so rows are
-    comparable between runs and machines."""
+    uniform random points; seed and epsilon_rel are fixed and rho is the
+    default, so rows are comparable between runs and machines."""
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
@@ -417,7 +414,6 @@ def _cmd_bench(args) -> int:
     cfg = _config(
         SolverConfig,
         epsilon_rel=0.05,
-        rho=DEFAULT_RHO,
         max_iter=args.iters,
         tol=1e-30,  # never triggers: fixed-iteration timing
     )
@@ -467,9 +463,7 @@ def run(argv: list[str]) -> int:
         ChunkingError,
         SolverNumericalError,
         SolverResourceError,
-        FileNotFoundError,
-        IsADirectoryError,
-        PermissionError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

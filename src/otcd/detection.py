@@ -49,10 +49,11 @@ class ChangeDetectionConfig:
 
     ``tau`` (meters) thresholds the signed score into classes; ``workers``
     bounds chunk-level parallelism (default: all cores). Chunk results are
-    independent of the worker count.
+    independent of the worker count. The unbalanced method needs a finite
+    ``solver.rho``.
     """
 
-    solver: SolverConfig
+    solver: SolverConfig = field(default_factory=SolverConfig)
     chunking: ChunkingConfig = field(default_factory=ChunkingConfig)
     tau: float = 2.0
     method: str = METHOD_UNBALANCED_OT
@@ -64,6 +65,11 @@ class ChangeDetectionConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.method == METHOD_UNBALANCED_OT and math.isinf(self.solver.rho):
+            raise ValueError(
+                f"rho=inf is the balanced problem; use method {METHOD_BALANCED_OT} "
+                "(otcd --method ot)"
+            )
 
 
 @dataclass(frozen=True)
@@ -263,8 +269,6 @@ def detect_changes(
     whose solver did not converge is still scored from the last iterate and
     reported in the diagnostics; strictness is the caller's policy.
     """
-    if cfg.method == METHOD_UNBALANCED_OT and cfg.solver.rho is None:
-        raise ValueError("method unbalanced_ot requires solver.rho")
     chunks = build_chunks(pc0, pc1, cfg.chunking)
     if cfg.method == METHOD_NN_BASELINE:
         # scipy.spatial takes longer to import than most runs take to solve;

@@ -71,31 +71,34 @@ class SolverResourceError(MemoryError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Entropic OT solver parameters.
+    """Entropic OT solver parameters; the defaults are ``otcd detect``'s.
 
-    Exactly one of ``epsilon`` (absolute, squared meters) or
+    At most one of ``epsilon`` (absolute, squared meters) or
     ``epsilon_rel`` (multiplied by the median cost of the instance at hand)
-    must be set. ``rho`` weighs the KL penalty on the source marginal and
-    is only consulted by the unbalanced solver. ``tol`` bounds the L1
-    marginal violation (balanced) or the L1 drift of the detected source
-    marginal between sweeps (unbalanced).
+    may be set; with neither, ``epsilon_rel`` is 0.01. ``rho`` weighs the
+    KL penalty on the source marginal and is only consulted by the
+    unbalanced solver; ``math.inf`` is the balanced problem. ``tol`` bounds
+    the L1 marginal violation (balanced) or the L1 drift of the detected
+    source marginal between sweeps (unbalanced).
     """
 
     epsilon: float | None = None
     epsilon_rel: float | None = None
-    rho: float | None = None
+    rho: float = 1000.0
     max_iter: int = 5000
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if (self.epsilon is None) == (self.epsilon_rel is None):
-            raise ValueError("set exactly one of epsilon / epsilon_rel")
+        if self.epsilon is None and self.epsilon_rel is None:
+            object.__setattr__(self, "epsilon_rel", 0.01)
+        if self.epsilon is not None and self.epsilon_rel is not None:
+            raise ValueError("set at most one of epsilon / epsilon_rel")
         # an infinite epsilon makes every kernel entry 1: a uniform plan
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         if self.epsilon_rel is not None and not 0 < self.epsilon_rel < math.inf:
             raise ValueError("epsilon_rel must be positive and finite")
-        if self.rho is not None and not self.rho > 0:
+        if self.rho is None or not self.rho > 0:
             raise ValueError("rho must be positive (or math.inf)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -539,8 +542,6 @@ def sinkhorn_unbalanced(
     offset after each source update, so that the drift follows the plan
     (see :func:`_sinkhorn`).
     """
-    if cfg.rho is None:
-        raise ValueError("sinkhorn_unbalanced requires cfg.rho")
     if math.isinf(cfg.rho):
         raise ValueError("rho=inf is the balanced problem; use sinkhorn_balanced")
     C = _validate_cost(C)

@@ -14,9 +14,11 @@ from otcd.cli import (
     EXIT_USAGE,
     _build_parser,
     _detection_config,
+    _solver_config,
     run,
 )
 from otcd.chunking import ChunkingConfig
+from otcd.detection import ChangeDetectionConfig, detect_changes
 from otcd.io import PointCloud, read_ply, read_xyz, write_ply_scored, write_xyz
 from otcd.solver import SolverConfig
 from otcd.synth import Building, SceneSpec, generate_pair
@@ -107,6 +109,12 @@ class TestDetect:
         code = run(_detect_args("/nonexistent.xyz", "/nope.xyz", str(tmp_path / "o.ply")))
         assert code == EXIT_DATA
 
+    def test_output_below_a_file_is_data_error(self, scene_files, capsys):
+        # NotADirectoryError: an OSError that is none of the usual three
+        t0, t1 = scene_files
+        assert run(_detect_args(t0, t1, os.path.join(t0, "out.ply"))) == EXIT_DATA
+        assert "error: [Errno" in capsys.readouterr().err
+
     def test_malformed_input_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.xyz"
         bad.write_text("1 2\n")
@@ -187,6 +195,22 @@ class TestDetect:
         assert cfg.solver == SolverConfig(epsilon_rel=0.01, rho=1000.0)
         assert cfg.chunking == ChunkingConfig()
         assert cfg.method == "unbalanced_ot"
+        # the library defaults are the CLI's, for every field
+        assert _solver_config(args) == SolverConfig()
+        assert cfg == ChangeDetectionConfig()
+
+    def test_library_defaults_score_as_detect_without_solver_flags(
+        self, scene_files, tmp_path
+    ):
+        t0, t1 = scene_files
+        cli_out, lib_out = str(tmp_path / "cli.ply"), str(tmp_path / "lib.ply")
+        argv = ["detect", "--t0", t0, "--t1", t1, "--tau", "2", "-o", cli_out]
+        assert run(argv) == EXIT_OK
+        pc1 = read_xyz(t1)
+        result = detect_changes(read_xyz(t0), pc1, ChangeDetectionConfig())
+        write_ply_scored(lib_out, pc1, result.scores, result.classes)
+        with open(cli_out, "rb") as a, open(lib_out, "rb") as b:
+            assert a.read() == b.read()
 
 
 # the inputs do not exist: reading any of them first would be a data error
@@ -204,6 +228,7 @@ _ABSENT = ["--t0", "absent_t0.xyz", "--t1", "absent_t1.xyz"]
         ["detect", *_ABSENT, "--tau", "2", "--max-iter", "0", "-o", "o.ply"],
         ["sweep", *_ABSENT, "--tau-grid", "0,1", "-o", "o.json"],
         ["sweep", *_ABSENT, "--tau-grid", "a:b:c", "-o", "o.json"],
+        ["sweep", *_ABSENT, "--tau-grid", ",", "-o", "o.json"],
         ["detect", *_ABSENT, "--tau", "nan", "-o", "o.ply"],
         ["detect", *_ABSENT, "--tau", "inf", "-o", "o.ply"],
         ["detect", *_ABSENT, "--tau", "2", "--halo", "nan", "-o", "o.ply"],
@@ -249,7 +274,7 @@ def test_invalid_flag_value_is_usage_error_before_any_read(argv, tmp_path, monke
 def test_infinite_rho_points_to_method_ot(capsys):
     argv = ["detect", *_ABSENT, "--tau", "2", "--rho", "inf", "-o", "o.ply"]
     assert run(argv) == EXIT_USAGE
-    assert "use --method ot" in capsys.readouterr().err
+    assert "use method balanced_ot (otcd --method ot)" in capsys.readouterr().err
 
 
 class TestSweepAndEval:

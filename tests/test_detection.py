@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -263,13 +265,13 @@ class TestDetectChanges:
         assert agreement >= 0.999
 
     def test_unbalanced_requires_rho(self):
-        spec = SceneSpec(extent=8.0, ground_density=2.0, seed=1)
-        pc0, pc1 = generate_pair(spec)
-        cfg = ChangeDetectionConfig(
-            solver=SolverConfig(epsilon=1.0), tau=1.0, method=METHOD_UNBALANCED_OT
-        )
-        with pytest.raises(ValueError, match="rho"):
-            detect_changes(pc0, pc1, cfg)
+        # refused when the config is built, before any chunk is made
+        infinite = SolverConfig(rho=math.inf)
+        with pytest.raises(ValueError, match="rho=inf .* balanced_ot"):
+            ChangeDetectionConfig(method=METHOD_UNBALANCED_OT, solver=infinite)
+        # the balanced method does not use rho
+        ChangeDetectionConfig(method=METHOD_BALANCED_OT, solver=infinite)
+        assert ChangeDetectionConfig().solver == SolverConfig()
 
     def test_method_validated(self):
         with pytest.raises(ValueError, match="method"):

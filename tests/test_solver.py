@@ -170,8 +170,9 @@ class TestSolverConfig:
     def test_epsilon_xor_epsilon_rel(self):
         with pytest.raises(ValueError):
             SolverConfig(epsilon=1.0, epsilon_rel=0.01)
-        with pytest.raises(ValueError):
-            SolverConfig()
+        # with neither, the relative default of otcd detect
+        assert SolverConfig() == SolverConfig(epsilon_rel=0.01, rho=1000.0)
+        assert SolverConfig(epsilon=1.0).epsilon_rel is None
 
     def test_epsilon_rel_resolves_against_median(self):
         C = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -603,7 +604,7 @@ class TestSinkhornUnbalanced:
 
     def test_missing_rho_rejected(self):
         with pytest.raises(ValueError, match="rho"):
-            sinkhorn_unbalanced(np.eye(2), SolverConfig(epsilon=0.1))
+            SolverConfig(epsilon=0.1, rho=None)
 
     def test_matches_log_sum_exp_reference(self):
         rng = np.random.default_rng(12)
