@@ -50,10 +50,16 @@ _ABSORB_BOUND = 1e50
 # a solve measures how fast its stopping gap contracts over windows of
 # this many sweeps; the first window is warm-up
 _RATE_SWEEPS = 32
-# a rate whose over-relaxation factor reaches this bound (above ~0.997) means
-# the gaps barely contract yet: sweeps stay plain and the rate is measured
-# again one window later
-_OMEGA_MAX = 1.9
+# a rate whose over-relaxation factor reaches this bound (above ~0.999994)
+# means the gaps barely contract yet, or stall between jumps: sweeps stay
+# plain and the rate is measured again one window later. Below it, factors
+# near 2 are what slow, ill-conditioned instances need (2x2 costs whose two
+# assignments differ by ~25 epsilon); there the gaps contract steadily
+_OMEGA_MAX = 1.995
+# a relaxed iteration's transient lasts about 1 / (2 - omega) sweeps; the
+# windows in this many of those after relaxing starts or omega grows are not
+# compared
+_GRACE_TRANSIENTS = 2.0
 # an over-relaxed gap this far above its best value since relaxing began,
 # or a relaxed scaling this far beyond the absorption bounds, counts as
 # divergence
@@ -316,6 +322,21 @@ def _relaxation_factor(rate: float) -> float:
     return 2.0 / (1.0 + math.sqrt(max(1.0 - rate, 0.0)))
 
 
+def _plain_rate(relaxed_rate: float, omega: float) -> float:
+    """The plain rate ``lam`` that makes sweeps relaxed by ``omega`` contract
+    by ``relaxed_rate`` each, from Young's relation for the 2-cyclic
+    alternating updates, ``(relaxed_rate + omega - 1)**2 = relaxed_rate *
+    omega**2 * lam``. It holds while ``omega`` is below the optimal factor,
+    that is while ``relaxed_rate > omega - 1``."""
+    return (relaxed_rate + omega - 1.0) ** 2 / (relaxed_rate * omega * omega)
+
+
+def _grace_windows(omega: float) -> int:
+    """The number of rate windows, at least 1, that cover
+    ``_GRACE_TRANSIENTS`` transients of sweeps relaxed by ``omega``."""
+    return max(1, math.ceil(_GRACE_TRANSIENTS / ((2.0 - omega) * _RATE_SWEEPS)))
+
+
 # the loop checks the gap and the scalings for non-finite values itself
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _sinkhorn(
@@ -347,9 +368,18 @@ def _sinkhorn(
     rate r at which the stopping gap contracts per sweep; after the first,
     warm-up window it sets ``omega = 2 / (1 + sqrt(1 - r))`` and updates
     both scalings as ``x**(1 - omega) * x_hat**omega``, where ``x_hat`` is
-    the plain update. It returns to plain sweeps for good when a relaxed
-    window contracts no faster than r (the first relaxed window, in which
-    the gap jumps as relaxing starts, is not compared), when the gap turns
+    the plain update. The windows of the relaxed transient, in which the
+    gap jumps (:func:`_grace_windows`; one on the synthetic chunks), are
+    not compared. After them, a relaxed window that contracts no faster
+    than r sends the solve back to plain sweeps, which measure r afresh
+    after a warm-up window. In a balanced solve, one that contracts more
+    slowly than ``omega`` allows raises ``omega`` to the factor of the plain
+    rate that it implies (:func:`_plain_rate`), so that a solve whose plain
+    rate keeps slowing follows it. The translation below is outside the
+    relation that rate rests on: on the ``uot_large_chunks`` chunks of the
+    benchmark it would raise ``omega`` from ~1.70 to ~1.76 and stop the
+    drift rule 2-3 times farther from the fixed point in mean score. A
+    solve returns to plain sweeps for good when the gap turns
     NaN or exceeds ``_DIVERGENCE`` times its best, when a scaling
     overshoots the absorption bounds by that factor, and once the gap
     reaches ``tol``: convergence is always declared on a plain sweep.
@@ -400,7 +430,7 @@ def _sinkhorn(
     v, v_hat = np.ones(n1), np.empty(n1)
     Ktu, Kv = np.empty(n1), np.empty(n0)
     row, prev_row, diff = np.empty(n0), np.empty(n0), np.empty(n0)
-    omega, relaxing, grace, best = 1.0, False, False, math.inf
+    omega, relaxing, grace, best = 1.0, False, 0, math.inf
     # against an infinite gap the warm-up window measures a rate of 0,
     # which leaves the sweeps plain
     measuring, window_gap = True, math.inf
@@ -445,15 +475,25 @@ def _sinkhorn(
             if not relaxing:
                 rate = window_rate
                 omega = _relaxation_factor(rate)
-                relaxing = grace = 1.0 < omega < _OMEGA_MAX
+                relaxing = 1.0 < omega < _OMEGA_MAX
                 omega = omega if relaxing else 1.0
+                grace = _grace_windows(omega)
             elif grace:
-                # the gap jumps when relaxing starts; the first relaxed
-                # window is not compared with r
-                grace = False
+                # the gap jumps when relaxing starts or omega grows; the
+                # windows of that transient are not compared with r
+                grace -= 1
             elif window_rate >= rate:
-                # relaxing does not beat the plain sweeps it was tuned on
-                omega, relaxing, measuring = 1.0, False, False
+                # relaxing does not beat the plain sweeps it was tuned on:
+                # plain sweeps, whose rate is measured again after a warm-up
+                # window (against an infinite gap)
+                omega, relaxing, window_gap = 1.0, False, math.inf
+            elif rho is None and window_rate > omega - 1.0:
+                # slower than omega allows: the plain rate has slowed since
+                # it was measured
+                faster = _relaxation_factor(_plain_rate(window_rate, omega))
+                if omega < faster < _OMEGA_MAX:
+                    omega = faster
+                    grace = _grace_windows(omega)
         row, prev_row = prev_row, row
         # a row whose Kv underflowed to 0 has lost its mass for good: its
         # scaling stays 0 rather than turning into inf * 0

@@ -400,6 +400,19 @@ class TestOverRelaxation:
         plan = sinkhorn_balanced(C, SolverConfig(epsilon=1e-3, tol=1e-5, max_iter=4000))
         assert plan.converged and plan.omega == 1.0
 
+    @pytest.mark.parametrize("seed", [112, 1469, 1633, 2505, 9544])
+    def test_ill_conditioned_instances_converge(self, seed):
+        # instances of test_marginal_feasibility_property whose plain sweeps
+        # need from 15k (1469) to over 300k sweeps: 112 relaxes only after a
+        # fallback and a second rate measurement, 2505 and 9544 only once
+        # omega is raised past the factor of their first measured rate
+        rng = np.random.default_rng(seed)
+        C = rng.random((int(rng.integers(2, 12)), int(rng.integers(2, 12))))
+        plan = sinkhorn_balanced(C, SolverConfig(epsilon=0.05, tol=1e-7))
+        assert plan.converged and plan.omega > 1.9
+        row, col = _uniform_violations(plan)
+        assert row <= 1e-7 and col <= 1e-10
+
     def test_worker_count_does_not_change_the_run(self):
         _assert_workers_do_not_change_the_relaxed_run(
             ChangeDetectionConfig(
