@@ -92,7 +92,10 @@ def _add_chunking_flags(p: _Parser) -> None:
 def _add_detection_flags(p: _Parser) -> None:
     """The flags of ``detect`` and ``sweep``."""
     p.add_argument(
-        "--method", choices=sorted(_METHODS), default="uot", help="(default %(default)s)"
+        "--method",
+        choices=sorted(_METHODS),
+        default={m: name for name, m in _METHODS.items()}[ChangeDetectionConfig.method],
+        help="(default %(default)s)",
     )
     group = p.add_mutually_exclusive_group()
     group.add_argument(
@@ -249,23 +252,21 @@ def _parse_tau_grid(spec: str) -> list[float]:
         raise _UsageError("tau grid is empty")
     for value in values:
         _config(_check_tau, value)
-    if ":" not in spec:
-        return values
-    if stop < start:
-        raise _UsageError(f"bad tau grid {spec!r}")
-    # counted before the list is built: a tiny step would never finish
-    steps = (stop - start) / step
-    if steps > 10_000:
-        raise _UsageError(f"bad tau grid {spec!r}; more than 10000 steps")
-    taus = (round(start + k * step, 9) for k in range(round(steps) + 1))
-    taus = [t for t in taus if t <= stop + 1e-9]
-    # rounding is monotone, so the first value is the smallest
-    if taus[0] <= 0 or len(set(taus)) < len(taus):
+    if ":" in spec:
+        if stop < start:
+            raise _UsageError(f"bad tau grid {spec!r}")
+        # counted before the list is built: a tiny step would never finish
+        steps = (stop - start) / step
+        if steps > 10_000:
+            raise _UsageError(f"bad tau grid {spec!r}; more than 10000 steps")
+        taus = (round(start + k * step, 9) for k in range(round(steps) + 1))
+        values = [t for t in taus if t <= stop + 1e-9]
+    if min(values) <= 0 or len(set(values)) < len(values):
         raise _UsageError(
-            f"bad tau grid {spec!r}; its values rounded to 9 decimals must be "
-            "positive and distinct"
+            f"bad tau grid {spec!r}; its values (a range's rounded to 9 "
+            "decimals) must be positive and distinct"
         )
-    return taus
+    return values
 
 
 def _diag_path(output: str) -> str:

@@ -25,7 +25,6 @@ from .chunking import ChunkingConfig, ChunkPair, build_chunks
 from .io import CLASS_DEMOLISHED, CLASS_NEW, CLASS_UNCHANGED, PointCloud
 from .solver import (
     SolverConfig,
-    TransportPlan,
     barycentric_projection,
     cost_matrix,
     dense_solve_bytes,
@@ -72,22 +71,24 @@ class ChangeDetectionConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ChunkDiagnostics:
     """One chunk's solve. ``epsilon`` (resolved), ``gap`` (the last
-    stopping gap), ``omega`` (the over-relaxation factor kept) and
+    stopping gap), ``omega`` (the over-relaxation factor kept),
     ``mass_change`` (the source mass the plan created or destroyed,
-    ``||P 1 - mu0||_1`` for a chunk's total mass of 1) are None when no
-    transport plan was solved, and ``gap`` also when it is not finite (an
+    ``||P 1 - mu0||_1`` for a chunk's total mass of 1) and
+    ``peak_bytes_estimate`` (of the dense solve) come from the transport
+    plan. A chunk without one keeps the defaults: no sweeps, converged, and
+    None for those five; ``gap`` is also None when it is not finite (an
     unbalanced solve stopped after its first sweep)."""
 
     chunk_id: int
     n0: int
     n1: int
-    iterations: int
-    converged: bool
+    iterations: int = 0
+    converged: bool = True
     wall_ms: float
-    peak_bytes_estimate: int
+    peak_bytes_estimate: int | None = None
     epsilon: float | None = None
     gap: float | None = None
     omega: float | None = None
@@ -155,29 +156,21 @@ def merge_scores(parts, n1: int) -> np.ndarray:
     return scores
 
 
-def pointwise_scores(
-    projected: np.ndarray,
-    reached_mass: np.ndarray,
-    X1: np.ndarray,
-) -> np.ndarray:
+def pointwise_scores(projected: np.ndarray, X1: np.ndarray) -> np.ndarray:
     """Signed vertical residual of each target point to its barycentric
     projection.
 
     Rows of ``projected`` that are non-finite (the unreached sentinel of
-    :func:`~otcd.solver.barycentric_projection`) or carry no mass score
-    ``+inf``.
+    :func:`~otcd.solver.barycentric_projection`) score ``+inf``.
     """
     projected = np.asarray(projected, dtype=np.float64)
     X1 = np.asarray(X1, dtype=np.float64)
-    reached_mass = np.asarray(reached_mass, dtype=np.float64)
-    if projected.shape != X1.shape or len(reached_mass) != len(X1):
+    if projected.shape != X1.shape:
         raise ValueError(
-            f"projection {projected.shape}, mass {reached_mass.shape} and "
-            f"targets {X1.shape} do not align"
+            f"projection {projected.shape} and targets {X1.shape} do not align"
         )
-    unreached = ~np.isfinite(projected).all(axis=1) | (reached_mass <= 0)
     scores = X1[:, 2] - projected[:, 2]
-    scores[unreached] = UNREACHED_SCORE
+    scores[~np.isfinite(projected).all(axis=1)] = UNREACHED_SCORE
     return scores
 
 
@@ -201,18 +194,6 @@ def classify(scores: np.ndarray, tau: float) -> np.ndarray:
     return classes
 
 
-def _ot_chunk_scores(
-    X0c: np.ndarray, X1c: np.ndarray, cfg: ChangeDetectionConfig
-) -> tuple[np.ndarray, TransportPlan]:
-    C = cost_matrix(X0c, X1c)
-    if cfg.method == METHOD_UNBALANCED_OT:
-        plan = sinkhorn_unbalanced(C, cfg.solver, overwrite_cost=True)
-    else:
-        plan = sinkhorn_balanced(C, cfg.solver, overwrite_cost=True)
-    projected, mass = barycentric_projection(plan, X0c)
-    return pointwise_scores(projected, mass, X1c), plan
-
-
 def _nn_chunk_scores(X0c: np.ndarray, X1c: np.ndarray) -> np.ndarray:
     # imported by detect_changes before any chunk starts; only this baseline
     # needs scipy.spatial
@@ -232,28 +213,35 @@ def _solve_chunk(
     X0c = pc0.xyz[chunk.source_indices]
     X1c = pc1.xyz[chunk.target_indices]
     n0, n1 = len(X0c), len(X1c)
-    plan, peak, mass_change = None, 40 * (n0 + n1), None
+    solve = {}
     if chunk.source_empty:
         # nothing can reach these targets; maximal new-structure evidence
         scores = np.full(n1, UNREACHED_SCORE)
     elif cfg.method == METHOD_NN_BASELINE:
         scores = _nn_chunk_scores(X0c, X1c)
     else:
-        scores, plan = _ot_chunk_scores(X0c, X1c, cfg)
-        peak = dense_solve_bytes(n0, n1)
-        mass_change = float(np.abs(plan.row_marginal - 1.0 / n0).sum())
+        C = cost_matrix(X0c, X1c)
+        if cfg.method == METHOD_UNBALANCED_OT:
+            plan = sinkhorn_unbalanced(C, cfg.solver, overwrite_cost=True)
+        else:
+            plan = sinkhorn_balanced(C, cfg.solver, overwrite_cost=True)
+        projected, _ = barycentric_projection(plan, X0c)
+        scores = pointwise_scores(projected, X1c)
+        solve = dict(
+            iterations=plan.iterations,
+            converged=plan.converged,
+            peak_bytes_estimate=dense_solve_bytes(n0, n1),
+            epsilon=plan.epsilon,
+            gap=plan.gap if math.isfinite(plan.gap) else None,
+            omega=plan.omega,
+            mass_change=float(np.abs(plan.row_marginal - 1.0 / n0).sum()),
+        )
     return scores, ChunkDiagnostics(
         chunk_id=chunk.chunk_id,
         n0=n0,
         n1=n1,
-        iterations=plan.iterations if plan else 0,
-        converged=plan.converged if plan else True,
         wall_ms=(time.perf_counter() - start) * 1e3,
-        peak_bytes_estimate=peak,
-        epsilon=plan.epsilon if plan else None,
-        gap=plan.gap if plan and math.isfinite(plan.gap) else None,
-        omega=plan.omega if plan else None,
-        mass_change=mass_change,
+        **solve,
     )
 
 

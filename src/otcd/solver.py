@@ -34,7 +34,7 @@ import numpy as np
 # counts as unreached by the plan
 MASS_FLOOR_FRACTION = 1e-3
 
-# refuse allocations that would not leave this fraction of available RAM free
+# refuse a dense matrix larger than this fraction of the available RAM
 _MEMORY_SAFETY = 0.85
 
 _LP_MAX_CELLS = 400
@@ -191,7 +191,12 @@ def _available_memory_bytes() -> int | None:
     return None
 
 
-def _check_allocation(n_bytes: int, what: str) -> None:
+def _dense_matrix(n0: int, n1: int, what: str) -> np.ndarray:
+    """An uninitialized float64 ``(n0, n1)`` matrix for ``what``; the one
+    guard on dense allocations. Raises :class:`SolverResourceError`, naming
+    GiB, when the matrix exceeds ``_MEMORY_SAFETY`` of the available memory
+    or cannot be allocated."""
+    n_bytes = dense_solve_bytes(n0, n1)
     avail = _available_memory_bytes()
     if avail is not None and n_bytes > _MEMORY_SAFETY * avail:
         raise SolverResourceError(
@@ -199,6 +204,10 @@ def _check_allocation(n_bytes: int, what: str) -> None:
             f"{avail / 2**30:.2f} GiB of memory is available; reduce the "
             "chunk point cap or solve on a larger machine"
         )
+    try:
+        return np.empty((n0, n1))
+    except MemoryError as exc:
+        raise SolverResourceError(str(exc)) from None
 
 
 def dense_solve_bytes(n0: int, n1: int) -> int:
@@ -222,16 +231,11 @@ def cost_matrix(X0: np.ndarray, X1: np.ndarray) -> np.ndarray:
         raise ValueError("point sets must be non-empty")
     if not (np.isfinite(X0).all() and np.isfinite(X1).all()):
         raise ValueError("points must be finite")
-    _check_allocation(
-        dense_solve_bytes(len(X0), len(X1)), f"{len(X0)}x{len(X1)} cost matrix"
-    )
+    C = _dense_matrix(len(X0), len(X1), f"{len(X0)}x{len(X1)} cost matrix")
     center = 0.5 * (X0.mean(axis=0) + X1.mean(axis=0))
     A = X0 - center
     B = X1 - center
-    try:
-        C = (-2.0 * A) @ B.T
-    except MemoryError as exc:
-        raise SolverResourceError(str(exc)) from None
+    np.matmul(-2.0 * A, B.T, out=C)
     C += (A * A).sum(axis=1)[:, None]
     C += (B * B).sum(axis=1)[None, :]
     np.maximum(C, 0.0, out=C)
@@ -409,14 +413,7 @@ def _sinkhorn(
     n0, n1 = C.shape
     mu0 = 1.0 / n0
     mu1 = 1.0 / n1
-    if overwrite_cost:
-        K = C
-    else:
-        _check_allocation(dense_solve_bytes(n0, n1), "materializing the Gibbs kernel")
-        try:
-            K = np.empty_like(C)
-        except MemoryError as exc:
-            raise SolverResourceError(str(exc)) from None
+    K = C if overwrite_cost else _dense_matrix(n0, n1, "materializing the Gibbs kernel")
     np.multiply(C, -1.0 / eps, out=K)
     a = -K.max(axis=1)
     K += a[:, None]
@@ -624,8 +621,8 @@ def barycentric_projection(
     Each target atom j maps to the coupling-weighted mean of the source
     points, ``sum_i P[i,j] X0[i] / sum_i P[i,j]``. Targets whose column
     mass is at or below ``MASS_FLOOR_FRACTION / n1`` (a 0.1% sliver of a
-    uniform target atom) are unreached: their projection row is NaN and
-    callers must treat them via the returned mass vector.
+    uniform target atom) are unreached: their projection row is NaN, the
+    one mark of an unreached target that callers read.
 
     Returns ``(projected_points, column_mass)``.
     """

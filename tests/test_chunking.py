@@ -280,6 +280,11 @@ class TestMergeScores:
         with pytest.raises(ValueError, match="length"):
             merge_scores(parts, 2)
 
+    def test_target_index_beyond_n1_rejected(self):
+        parts = [(_unit_chunk([0, 1, 2], 0), np.zeros(3))]
+        with pytest.raises(ValueError, match="target index 2 >= n1=2"):
+            merge_scores(parts, 2)
+
 
 class TestChunkStats:
     def test_order_statistics(self):

@@ -18,8 +18,14 @@ from otcd.cli import (
     run,
 )
 from otcd.chunking import ChunkingConfig
-from otcd.detection import ChangeDetectionConfig, detect_changes
+from otcd.detection import (
+    METHOD_BALANCED_OT,
+    ChangeDetectionConfig,
+    classify,
+    detect_changes,
+)
 from otcd.io import PointCloud, read_ply, read_xyz, write_ply_scored, write_xyz
+from otcd.metrics import confusion, iou
 from otcd.solver import SolverConfig
 from otcd.synth import Building, SceneSpec, generate_pair
 
@@ -199,6 +205,16 @@ class TestDetect:
         assert _solver_config(args) == SolverConfig()
         assert cfg == ChangeDetectionConfig()
 
+    def test_detect_default_method_is_the_library_default(self, monkeypatch):
+        argv = ["detect", "--t0", "a.xyz", "--t1", "b.xyz", "--tau", "2", "-o", "o.ply"]
+        args = _build_parser().parse_args(argv)
+        assert _detection_config(args, tau=2.0).method == ChangeDetectionConfig().method
+        # the CLI reads its default from the config class, not from a copy
+        monkeypatch.setattr(ChangeDetectionConfig, "method", METHOD_BALANCED_OT)
+        args = _build_parser().parse_args(argv)
+        assert args.method == "ot"
+        assert _detection_config(args, tau=2.0).method == METHOD_BALANCED_OT
+
     def test_library_defaults_score_as_detect_without_solver_flags(
         self, scene_files, tmp_path
     ):
@@ -229,6 +245,10 @@ _ABSENT = ["--t0", "absent_t0.xyz", "--t1", "absent_t1.xyz"]
         ["sweep", *_ABSENT, "--tau-grid", "0,1", "-o", "o.json"],
         ["sweep", *_ABSENT, "--tau-grid", "a:b:c", "-o", "o.json"],
         ["sweep", *_ABSENT, "--tau-grid", ",", "-o", "o.json"],
+        # a comma list repeats a value; a range runs backwards
+        ["sweep", *_ABSENT, "--tau-grid", "1,1", "-o", "o.json"],
+        ["sweep", *_ABSENT, "--tau-grid", "2,1,2", "-o", "o.json"],
+        ["sweep", *_ABSENT, "--tau-grid", "3:1:1", "-o", "o.json"],
         ["detect", *_ABSENT, "--tau", "nan", "-o", "o.ply"],
         ["detect", *_ABSENT, "--tau", "inf", "-o", "o.ply"],
         ["detect", *_ABSENT, "--tau", "2", "--halo", "nan", "-o", "o.ply"],
@@ -362,6 +382,30 @@ class TestSweepAndEval:
         assert eval_payload["mean_change_iou"] == pytest.approx(
             sweep_payload["mean_change_iou"], abs=1e-12
         )
+
+    def test_eval_tau_reclassifies_the_stored_scores(
+        self, scene_files, tmp_path, capsys
+    ):
+        t0, t1 = scene_files
+        ply = str(tmp_path / "d.ply")
+        # stored at tau 9, above the 8 m roof: the new building is unchanged
+        assert run(_detect_args(t0, t1, ply, "--tau", "9")) == EXIT_OK
+        _, scores, stored = read_ply(ply)
+        labels = read_xyz(t1).labels
+        reclassified = classify(scores, 3.0)
+        assert (reclassified != stored).any()
+        for flags, classes, tau in (
+            ([], stored, None),
+            (["--tau", "3"], reclassified, 3.0),
+        ):
+            capsys.readouterr()
+            assert run(["eval", "--scored", ply, "--truth", t1, *flags]) == EXIT_OK
+            expected = iou(confusion(labels, classes), tau_used=tau).to_dict()
+            assert _strict_json(capsys.readouterr().out) == {
+                "scored": ply,
+                "truth": t1,
+                **expected,
+            }
 
     def test_sweep_strict_flags_nonconvergence(self, scene_files, tmp_path):
         t0, t1 = scene_files

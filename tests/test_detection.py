@@ -12,6 +12,7 @@ from otcd.detection import (
     METHOD_NN_BASELINE,
     METHOD_UNBALANCED_OT,
     ChangeDetectionConfig,
+    ChangeMap,
     classify,
     detect_changes,
     pointwise_scores,
@@ -46,31 +47,31 @@ def _one_building_scene(status, seed=21):
 class TestPointwiseScores:
     def test_coincident_projection_scores_zero(self):
         X = np.array([[1.0, 2.0, 3.0]])
-        scores = pointwise_scores(X, np.array([1.0]), X)
+        scores = pointwise_scores(X, X)
         assert scores[0] == 0.0
 
     def test_new_roof_scores_positive(self):
         projected = np.array([[0.0, 0.0, 0.0]])
         target = np.array([[0.0, 0.0, 10.0]])
-        scores = pointwise_scores(projected, np.array([1.0]), target)
+        scores = pointwise_scores(projected, target)
         assert scores[0] == pytest.approx(10.0)
 
     def test_demolition_scores_negative(self):
         projected = np.array([[0.0, 0.0, 10.0]])
         target = np.array([[0.0, 0.0, 0.0]])
-        scores = pointwise_scores(projected, np.array([1.0]), target)
+        scores = pointwise_scores(projected, target)
         assert scores[0] == pytest.approx(-10.0)
 
     def test_unreached_sentinel(self):
         projected = np.array([[np.nan, np.nan, np.nan], [0.0, 0.0, 0.0]])
         target = np.zeros((2, 3))
-        scores = pointwise_scores(projected, np.array([0.0, 1.0]), target)
+        scores = pointwise_scores(projected, target)
         assert np.isposinf(scores[0])
         assert scores[1] == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            pointwise_scores(np.zeros((2, 3)), np.ones(2), np.zeros((3, 3)))
+            pointwise_scores(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 class TestClassify:
@@ -108,6 +109,10 @@ class TestClassify:
 
 
 class TestDetectChanges:
+    def test_change_map_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            ChangeMap(np.zeros(3), np.zeros(2, dtype=np.int64), [])
+
     def test_identity_scene_all_unchanged(self):
         spec = SceneSpec(extent=16.0, ground_density=5.0, noise_sigma_z=0.03, seed=2)
         pc0, _ = generate_pair(spec)
@@ -301,8 +306,15 @@ class TestDetectChanges:
             assert d["mass_change"] > 0
         nn = detect_changes(pc0, pc1, _cfg(method=METHOD_NN_BASELINE, tau=1.0, cap=200))
         for diag in nn.diagnostics:
-            fields = (diag.epsilon, diag.gap, diag.omega, diag.mass_change)
-            assert fields == (None,) * 4
+            assert (diag.iterations, diag.converged) == (0, True)
+            fields = (
+                diag.peak_bytes_estimate,
+                diag.epsilon,
+                diag.gap,
+                diag.omega,
+                diag.mass_change,
+            )
+            assert fields == (None,) * 5
 
     def test_mass_change_is_the_source_marginal_gap(self):
         spec = SceneSpec(
@@ -347,3 +359,6 @@ class TestDetectChanges:
         assert empty and solved
         assert all(d.mass_change is None for d in empty)
         assert all(d.mass_change >= 0 for d in solved)
+        # no dense solve, no bytes estimate
+        assert all(d.peak_bytes_estimate is None for d in empty)
+        assert all(d.peak_bytes_estimate == 8 * d.n0 * d.n1 for d in solved)

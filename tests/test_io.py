@@ -319,6 +319,51 @@ class TestPly:
         with pytest.raises(PointCloudFormatError, match="ply"):
             read_ply(path)
 
+    _XYZ_PROPS = "property float x\nproperty float y\nproperty float z\n"
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            (
+                "format ascii 1.0\nproperty float x\nelement vertex 0\nend_header\n",
+                ":3: property declared outside the vertex element",
+            ),
+            (
+                "format ascii 1.0\nobj_info scanner\nelement vertex 0\n"
+                + _XYZ_PROPS
+                + "end_header\n",
+                ":3: unsupported header keyword 'obj_info'",
+            ),
+            (
+                "format ascii 1.0\nelement vertex 0\n" + _XYZ_PROPS,
+                "unterminated header",
+            ),
+            ("element vertex 0\n" + _XYZ_PROPS + "end_header\n", "incomplete header"),
+            (
+                "format ascii 1.0\nelement vertex 0\n"
+                "property float x\nproperty float y\nend_header\n",
+                "missing property 'z'",
+            ),
+        ],
+        ids=["property-first", "obj_info", "unterminated", "no-format", "no-z"],
+    )
+    def test_bad_header_rejected(self, tmp_path, header, match):
+        path = _write(tmp_path, "bad.ply", "ply\n" + header)
+        with pytest.raises(PointCloudFormatError, match=match):
+            read_ply(path)
+
+    def test_comment_and_blank_header_lines_skipped(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "commented.ply",
+            "ply\nformat ascii 1.0\ncomment written by hand\n\nelement vertex 1\n"
+            + self._XYZ_PROPS
+            + "end_header\n1 2 3\n",
+        )
+        cloud, scores, classes = read_ply(path)
+        np.testing.assert_array_equal(cloud.xyz, [[1.0, 2.0, 3.0]])
+        assert scores is None and classes is None
+
 
 class TestReaderLayout:
     def test_both_readers_return_c_contiguous_float64_xyz(self, tmp_path):

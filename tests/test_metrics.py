@@ -48,6 +48,10 @@ class TestConfusion:
 
 
 class TestIoU:
+    def test_non_3x3_matrix_rejected(self):
+        with pytest.raises(ValueError, match="3x3"):
+            iou(np.eye(2, dtype=np.int64))
+
     def test_perfect_prediction(self):
         m = iou(confusion(np.array([0, 1, 2, 1]), np.array([0, 1, 2, 1])))
         assert m.iou_per_class == (1.0, 1.0, 1.0)

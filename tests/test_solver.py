@@ -148,6 +148,20 @@ class TestCostMatrix:
         with pytest.raises(ValueError):
             cost_matrix(np.empty((0, 3)), np.zeros((1, 3)))
 
+    @pytest.mark.parametrize(
+        "X0, X1, match",
+        [
+            (np.zeros((2, 3)), np.zeros((2, 2)), "incompatible point sets"),
+            (np.zeros(3), np.zeros((2, 3)), "incompatible point sets"),
+            (np.array([[0.0, 0.0, np.inf]]), np.zeros((2, 3)), "finite"),
+            (np.zeros((2, 3)), np.array([[np.nan, 0.0, 0.0]]), "finite"),
+        ],
+        ids=["columns", "1-D", "inf", "nan"],
+    )
+    def test_invalid_point_sets_rejected(self, X0, X1, match):
+        with pytest.raises(ValueError, match=match):
+            cost_matrix(X0, X1)
+
     def test_joint_translation_shifts_plan_and_projection(self):
         rng = np.random.default_rng(13)
         X0, X1 = rng.normal(size=(7, 3)), rng.normal(size=(9, 3))
@@ -192,6 +206,10 @@ class TestSolverConfig:
 
     def test_all_zero_costs_resolve_to_epsilon_rel(self):
         assert SolverConfig(epsilon_rel=0.3).resolved(np.zeros((4, 5))).epsilon == 0.3
+
+    def test_epsilon_rel_resolving_to_inf_rejected(self):
+        with pytest.raises(ValueError, match="resolved to inf"):
+            SolverConfig(epsilon_rel=1e10).resolved(np.full((2, 2), 1e300))
 
     @pytest.mark.parametrize("shape", [(800, 700), (801, 701)])
     def test_median_of_the_subsample_above_the_cell_cap(self, shape):
@@ -283,6 +301,8 @@ class TestSinkhornBalanced:
             sinkhorn_balanced(np.array([[np.nan]]), SolverConfig(epsilon=0.1))
         with pytest.raises(ValueError):
             sinkhorn_balanced(np.array([[-1.0]]), SolverConfig(epsilon=0.1))
+        with pytest.raises(ValueError, match="2D"):
+            sinkhorn_balanced(np.ones(3), SolverConfig(epsilon=0.1))
 
     def test_overwrite_cost_reuses_buffer(self):
         rng = np.random.default_rng(8)
@@ -441,7 +461,7 @@ class TestUnbalancedOverRelaxation:
         assert plan.converged and fixed.converged
         assert plan.omega > 1.0
         scores = [
-            detection.pointwise_scores(*barycentric_projection(p, X0), X1)
+            detection.pointwise_scores(barycentric_projection(p, X0)[0], X1)
             for p in (plan, fixed)
         ]
         np.testing.assert_array_equal(np.isfinite(scores[0]), np.isfinite(scores[1]))

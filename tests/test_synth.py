@@ -156,6 +156,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="seed"):
             _spec(seed=-1)
 
+    def test_negative_noise(self):
+        with pytest.raises(ValueError, match="noise_sigma_z"):
+            _spec(noise_sigma_z=-1.0)
+
     @pytest.mark.parametrize(
         "footprint, height, field",
         [
