@@ -40,7 +40,7 @@ from .io import (
     write_ply_scored,
     write_xyz,
 )
-from .metrics import confusion, iou, sweep_scores
+from .metrics import _tau_grid, confusion, iou, sweep_scores
 from .solver import (
     SolverConfig,
     SolverNumericalError,
@@ -97,11 +97,10 @@ def _add_detection_flags(p: _Parser) -> None:
         default={m: name for name, m in _METHODS.items()}[ChangeDetectionConfig.method],
         help="(default %(default)s)",
     )
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
+    p.add_argument(
         "--epsilon", type=float, help="entropic weight, squared meters (absolute)"
     )
-    group.add_argument(
+    p.add_argument(
         "--epsilon-rel",
         type=float,
         help="entropic weight as a fraction of the per-chunk median cost "
@@ -243,30 +242,22 @@ def _parse_tau_grid(spec: str) -> list[float]:
         if ":" not in spec:
             values = [float(v) for v in spec.split(",") if v.strip()]
         else:
-            start, stop, step = values = [float(v) for v in spec.split(":")]
+            start, stop, step = [float(v) for v in spec.split(":")]
     except ValueError:
         raise _UsageError(
             f"bad tau grid {spec!r}; want a comma list or start:stop:step"
         ) from None
-    if not values:
-        raise _UsageError("tau grid is empty")
-    for value in values:
-        _config(_check_tau, value)
     if ":" in spec:
-        if stop < start:
+        # NaN fails both comparisons
+        if not (start <= stop and 0 < step < np.inf):
             raise _UsageError(f"bad tau grid {spec!r}")
         # counted before the list is built: a tiny step would never finish
         steps = (stop - start) / step
-        if steps > 10_000:
+        if not steps <= 10_000:
             raise _UsageError(f"bad tau grid {spec!r}; more than 10000 steps")
         taus = (round(start + k * step, 9) for k in range(round(steps) + 1))
         values = [t for t in taus if t <= stop + 1e-9]
-    if min(values) <= 0 or len(set(values)) < len(values):
-        raise _UsageError(
-            f"bad tau grid {spec!r}; its values (a range's rounded to 9 "
-            "decimals) must be positive and distinct"
-        )
-    return values
+    return _config(_tau_grid, values)
 
 
 def _diag_path(output: str) -> str:
@@ -274,13 +265,9 @@ def _diag_path(output: str) -> str:
     return base + ".diag.json"
 
 
-def _write_json(path: str | None, payload: dict | list) -> None:
-    text = json.dumps(payload, indent=2)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _write_json(path: str, payload: dict | list) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _unconverged_chunks(change_map) -> list[int]:
@@ -360,9 +347,9 @@ def _cmd_eval(args) -> int:
         classes = classify(scores, args.tau)
     m = iou(confusion(truth.labels, classes), tau_used=args.tau)
     payload = {"scored": args.scored, "truth": args.truth, **m.to_dict()}
-    _write_json(args.output, payload)
     if args.output:
-        print(json.dumps(payload, indent=2))
+        _write_json(args.output, payload)
+    print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 

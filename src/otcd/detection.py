@@ -126,8 +126,8 @@ def merge_scores(parts, n1: int) -> np.ndarray:
     indices must partition ``0..n1-1`` exactly.
 
     Raises:
-        ValueError: duplicated or missing target index, or a per-chunk
-            array whose length does not match the chunk.
+        ValueError: duplicated, missing or out-of-range target index, or
+            a per-chunk array whose length does not match the chunk.
     """
     scores = np.empty(n1, dtype=np.float64)
     seen = np.zeros(n1, dtype=bool)
@@ -142,6 +142,8 @@ def merge_scores(parts, n1: int) -> np.ndarray:
             raise ValueError(
                 f"chunk {chunk.chunk_id}: target index {tgt.max()} >= n1={n1}"
             )
+        if tgt.size and tgt.min() < 0:
+            raise ValueError(f"chunk {chunk.chunk_id}: target index {tgt.min()} < 0")
         dup = seen[tgt]
         if dup.any():
             raise ValueError(

@@ -68,8 +68,7 @@ class PointCloud:
                     f"labels length {labels.shape} does not match "
                     f"{len(self.xyz)} points"
                 )
-            _check_classes(labels, "labels")
-            self.labels = labels.astype(np.int64, copy=False)
+            self.labels = _check_classes(labels, "labels")
 
     def __len__(self) -> int:
         return len(self.xyz)
@@ -129,7 +128,7 @@ def write_ply_scored(
             f"scores {scores.shape} and classes {classes.shape} must both "
             f"have length {n}"
         )
-    _check_classes(classes, "classes")
+    classes = _check_classes(classes, "classes")
     if np.isnan(scores).any():
         raise ValueError("scores must not be NaN; inf marks an unreached point")
     with open(path, "wb") as fh:
@@ -148,18 +147,19 @@ def write_ply_scored(
             fh,
             [*cloud.xyz.T, scores],
             [_COORD_DIGITS] * 3 + [_SCORE_DIGITS],
-            classes.astype(np.int64),
+            classes,
         )
 
 
-def _check_classes(values: np.ndarray, name: str) -> None:
-    """Raise ValueError unless every value is a class id from VALID_CLASSES;
-    a non-integer such as 2.7 is not one."""
+def _check_classes(values: np.ndarray, name: str) -> np.ndarray:
+    """``values`` as int64 class ids; raise ValueError unless every value is
+    a class id from VALID_CLASSES (a non-integer such as 2.7 is not one)."""
     bad = ~np.isin(values, VALID_CLASSES)
     if bad.any():
         raise ValueError(
             f"{name} must be in {VALID_CLASSES}; found {values[bad][0]}"
         )
+    return values.astype(np.int64, copy=False)
 
 
 def read_ply(

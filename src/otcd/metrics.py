@@ -6,21 +6,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import ChangeMap, classify
+from .detection import ChangeMap, _check_tau, classify
+from .io import VALID_CLASSES, _check_classes
 
-_N_CLASSES = 3
+_N_CLASSES = len(VALID_CLASSES)
 _CLASS_NAMES = ("unchanged", "new", "demolished")
 
 
 def confusion(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    """3x3 count matrix, rows ground truth, columns prediction."""
-    gt = np.asarray(gt, dtype=np.int64)
-    pred = np.asarray(pred, dtype=np.int64)
+    """3x3 count matrix, rows ground truth, columns prediction; every value
+    must be a class id from ``VALID_CLASSES`` (2.0 is 2, 2.7 is refused)."""
+    gt, pred = np.asarray(gt), np.asarray(pred)
     if gt.shape != pred.shape or gt.ndim != 1:
         raise ValueError(f"label vectors differ in shape: {gt.shape} vs {pred.shape}")
-    for name, v in (("gt", gt), ("pred", pred)):
-        if v.size and (v.min() < 0 or v.max() >= _N_CLASSES):
-            raise ValueError(f"{name} contains classes outside 0..{_N_CLASSES - 1}")
+    gt, pred = _check_classes(gt, "gt"), _check_classes(pred, "pred")
     return np.bincount(gt * _N_CLASSES + pred, minlength=_N_CLASSES**2).reshape(
         _N_CLASSES, _N_CLASSES
     )
@@ -66,6 +65,19 @@ def iou(cm: np.ndarray, tau_used: float | None = None) -> Metrics:
     )
 
 
+def _tau_grid(taus) -> list[float]:
+    """``taus`` in ascending order; raise ``ValueError`` unless it is a
+    non-empty list of distinct, positive, finite thresholds."""
+    grid = sorted(float(t) for t in taus)
+    if not grid:
+        raise ValueError("tau grid is empty")
+    for k, tau in enumerate(grid):
+        _check_tau(tau)
+        if k and tau == grid[k - 1]:
+            raise ValueError(f"tau grid repeats {tau}")
+    return grid
+
+
 def sweep_scores(
     change_map: ChangeMap, gt: np.ndarray, taus: list[float]
 ) -> tuple[float, list[Metrics]]:
@@ -74,14 +86,12 @@ def sweep_scores(
     Scores do not depend on tau, so a sweep is one ``detect_changes`` run
     followed by this call. Returns ``(best_tau, metrics_per_tau)`` with the
     grid evaluated in ascending order; the best tau maximizes mean IoU over
-    the change classes, ties broken toward the smallest tau. A tau that is
-    not positive and finite raises ``ValueError`` (see ``classify``).
+    the change classes, ties broken toward the smallest tau. An empty grid,
+    a repeated tau or a tau that is not positive and finite is a ValueError.
     """
     if gt is None:
         raise ValueError("threshold sweep requires ground-truth labels")
-    taus = sorted(float(t) for t in taus)
-    if not taus:
-        raise ValueError("tau grid is empty")
+    taus = _tau_grid(taus)
     results = []
     best_tau, best_value = taus[0], -1.0
     for tau in taus:

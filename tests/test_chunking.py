@@ -285,6 +285,12 @@ class TestMergeScores:
         with pytest.raises(ValueError, match="target index 2 >= n1=2"):
             merge_scores(parts, 2)
 
+    def test_negative_target_index_rejected(self):
+        # -1 would wrap to the last point
+        parts = [(_unit_chunk([0, 1, -1], 0), np.zeros(3))]
+        with pytest.raises(ValueError, match="target index -1 < 0"):
+            merge_scores(parts, 3)
+
 
 class TestChunkStats:
     def test_order_statistics(self):

@@ -103,13 +103,16 @@ class TestDetect:
         new_truth = truth.labels == 1
         assert (classes[new_truth] == 1).mean() >= 0.8
 
-    def test_conflicting_epsilon_flags_usage_error(self, scene_files, tmp_path):
+    def test_conflicting_epsilon_flags_usage_error(self, scene_files, tmp_path, capsys):
         t0, t1 = scene_files
         out = str(tmp_path / "x.ply")
         code = run(
             _detect_args(t0, t1, out) + ["--epsilon", "1.0", "--epsilon-rel", "0.01"]
         )
         assert code == EXIT_USAGE
+        # SolverConfig owns the rule and its message
+        err = capsys.readouterr().err
+        assert "usage error: set at most one of epsilon / epsilon_rel" in err
 
     def test_missing_input_is_data_error(self, tmp_path):
         code = run(_detect_args("/nonexistent.xyz", "/nope.xyz", str(tmp_path / "o.ply")))
@@ -259,6 +262,8 @@ _ABSENT = ["--t0", "absent_t0.xyz", "--t1", "absent_t1.xyz"]
         ["detect", *_ABSENT, "--tau", "2", "--epsilon", "inf", "-o", "o.ply"],
         ["detect", *_ABSENT, "--tau", "2", "--epsilon-rel", "inf", "-o", "o.ply"],
         ["sweep", *_ABSENT, "--epsilon", "inf", "-o", "o.json"],
+        ["detect", *_ABSENT, "--tau", "2", "--epsilon", "1", "--epsilon-rel", "0.01",
+         "-o", "o.ply"],
         ["detect", *_ABSENT, "--tau", "2", "--method", "uot", "--rho", "inf",
          "-o", "o.ply"],
         ["sweep", *_ABSENT, "--method", "uot", "--rho", "inf", "-o", "o.json"],

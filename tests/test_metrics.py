@@ -18,6 +18,9 @@ class TestConfusion:
     def test_diagonal_on_perfect_prediction(self):
         cm = confusion(np.array([0, 1, 2]), np.array([0, 1, 2]))
         np.testing.assert_array_equal(cm, np.eye(3, dtype=int))
+        # a float that is exactly a class id is that class
+        cm = confusion(np.array([0.0, 1.0, 2.0]), np.array([0, 1, 2.0]))
+        np.testing.assert_array_equal(cm, np.eye(3, dtype=int))
 
     def test_off_diagonal_counts(self):
         cm = confusion(np.array([1, 1]), np.array([0, 1]))
@@ -35,8 +38,12 @@ class TestConfusion:
             confusion(np.array([0]), np.array([0, 1]))
 
     def test_out_of_range_class(self):
-        with pytest.raises(ValueError):
-            confusion(np.array([3]), np.array([0]))
+        # a non-integer is no class id: 1.9 is not truncated to 1
+        for bad in (3, -1, 0.5, 1.9, 2.7):
+            with pytest.raises(ValueError, match=f"found {bad}"):
+                confusion(np.array([bad]), np.array([0]))
+            with pytest.raises(ValueError, match=f"found {bad}"):
+                confusion(np.array([0]), np.array([bad]))
 
     @settings(max_examples=30, deadline=None)
     @given(labels)
@@ -191,8 +198,10 @@ class TestThresholdSweep:
 
     def test_empty_grid_rejected(self, box_scene, box_change_map):
         _, pc1 = box_scene
-        with pytest.raises(ValueError, match="grid"):
-            sweep_scores(box_change_map, pc1.labels, [])
+        # a grid that repeats a tau would report that threshold twice
+        for bad in ([], [2.0, 1.0, 2.0], [1.0, 1.0]):
+            with pytest.raises(ValueError, match="grid"):
+                sweep_scores(box_change_map, pc1.labels, bad)
 
     def test_nonpositive_tau_rejected(self, box_scene, box_change_map):
         _, pc1 = box_scene
