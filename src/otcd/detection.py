@@ -48,8 +48,7 @@ class ChangeDetectionConfig:
 
     ``tau`` (meters) thresholds the signed score into classes; ``workers``
     bounds chunk-level parallelism (default: all cores). Chunk results are
-    independent of the worker count. The unbalanced method needs a finite
-    ``solver.rho``.
+    independent of the worker count.
     """
 
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -64,11 +63,6 @@ class ChangeDetectionConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.method == METHOD_UNBALANCED_OT and math.isinf(self.solver.rho):
-            raise ValueError(
-                f"rho=inf is the balanced problem; use method {METHOD_BALANCED_OT} "
-                "(otcd --method ot)"
-            )
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -82,10 +82,10 @@ class SolverConfig:
     At most one of ``epsilon`` (absolute, squared meters) or
     ``epsilon_rel`` (multiplied by the median cost of the instance at hand)
     may be set; with neither, ``epsilon_rel`` is 0.01. ``rho`` weighs the
-    KL penalty on the source marginal and is only consulted by the
-    unbalanced solver; ``math.inf`` is the balanced problem. ``tol`` bounds
-    the L1 marginal violation (balanced) or the L1 drift of the detected
-    source marginal between sweeps (unbalanced).
+    KL penalty on the source marginal, is positive and finite, and is only
+    consulted by the unbalanced solver. ``tol`` bounds the L1 marginal
+    violation (balanced) or the L1 drift of the detected source marginal
+    between sweeps (unbalanced).
     """
 
     epsilon: float | None = None
@@ -104,8 +104,11 @@ class SolverConfig:
             raise ValueError("epsilon must be positive and finite")
         if self.epsilon_rel is not None and not 0 < self.epsilon_rel < math.inf:
             raise ValueError("epsilon_rel must be positive and finite")
-        if self.rho is None or not self.rho > 0:
-            raise ValueError("rho must be positive (or math.inf)")
+        if self.rho is None or not 0 < self.rho < math.inf:
+            raise ValueError(
+                "rho must be positive and finite; rho=inf is the balanced problem: "
+                "use method balanced_ot (otcd --method ot) or sinkhorn_balanced"
+            )
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not self.tol > 0:
@@ -579,8 +582,6 @@ def sinkhorn_unbalanced(
     offset after each source update, so that the drift follows the plan
     (see :func:`_sinkhorn`).
     """
-    if math.isinf(cfg.rho):
-        raise ValueError("rho=inf is the balanced problem; use sinkhorn_balanced")
     C = _validate_cost(C)
     cfg = cfg.resolved(C)
     return _sinkhorn(C, cfg.epsilon, cfg.rho, cfg.max_iter, cfg.tol, overwrite_cost)

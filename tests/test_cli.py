@@ -252,6 +252,8 @@ _ABSENT = ["--t0", "absent_t0.xyz", "--t1", "absent_t1.xyz"]
         ["sweep", *_ABSENT, "--tau-grid", "1,1", "-o", "o.json"],
         ["sweep", *_ABSENT, "--tau-grid", "2,1,2", "-o", "o.json"],
         ["sweep", *_ABSENT, "--tau-grid", "3:1:1", "-o", "o.json"],
+        # argparse reads a leading "-" as a flag; no such grid is valid anyway
+        ["sweep", *_ABSENT, "--tau-grid", "-1:1:0.5", "-o", "o.json"],
         ["detect", *_ABSENT, "--tau", "nan", "-o", "o.ply"],
         ["detect", *_ABSENT, "--tau", "inf", "-o", "o.ply"],
         ["detect", *_ABSENT, "--tau", "2", "--halo", "nan", "-o", "o.ply"],
@@ -267,6 +269,11 @@ _ABSENT = ["--t0", "absent_t0.xyz", "--t1", "absent_t1.xyz"]
         ["detect", *_ABSENT, "--tau", "2", "--method", "uot", "--rho", "inf",
          "-o", "o.ply"],
         ["sweep", *_ABSENT, "--method", "uot", "--rho", "inf", "-o", "o.json"],
+        # the methods that do not use rho refuse an infinite one as well
+        ["detect", *_ABSENT, "--tau", "2", "--method", "ot", "--rho", "inf",
+         "-o", "o.ply"],
+        ["detect", *_ABSENT, "--tau", "2", "--method", "nn", "--rho", "inf",
+         "-o", "o.ply"],
         ["sweep", *_ABSENT, "--tau-grid", "1,nan", "-o", "o.json"],
         ["sweep", *_ABSENT, "--tau-grid", "nan", "-o", "o.json"],
         ["sweep", *_ABSENT, "--tau-grid", "1,inf", "-o", "o.json"],
@@ -342,6 +349,24 @@ class TestSweepAndEval:
         code = run(["eval", "--scored", ply, "--truth", ply])
         assert code == EXIT_DATA
         assert f"error: {ply}: ground-truth labels" in capsys.readouterr().err
+
+    def test_eval_truth_one_row_short_is_data_error(
+        self, scene_files, tmp_path, capsys
+    ):
+        t0, t1 = scene_files
+        ply = str(tmp_path / "d.ply")
+        assert run(_detect_args(t0, t1, ply)) == EXIT_OK
+        rows = open(t1).read().splitlines(keepends=True)
+        short = tmp_path / "short.xyz"
+        short.write_text("".join(rows[:-1]))
+        capsys.readouterr()
+        code = run(["eval", "--scored", ply, "--truth", str(short)])
+        assert code == EXIT_DATA
+        n = len(read_xyz(t1))
+        assert (
+            f"error: label vectors differ in shape: ({n - 1},) vs ({n},)"
+            in capsys.readouterr().err
+        )
 
     def test_range_grid_syntax(self, scene_files, tmp_path):
         t0, t1 = scene_files
