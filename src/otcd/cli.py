@@ -24,9 +24,7 @@ import numpy as np
 
 from .chunking import ChunkingConfig, ChunkingError, build_chunks, chunk_stats
 from .detection import (
-    METHOD_BALANCED_OT,
-    METHOD_NN_BASELINE,
-    METHOD_UNBALANCED_OT,
+    METHODS,
     ChangeDetectionConfig,
     _check_tau,
     classify,
@@ -57,13 +55,6 @@ EXIT_STRICT = 3
 
 DEFAULT_TAU_GRID = "0.5:10:0.5"
 
-_METHODS = {
-    "uot": METHOD_UNBALANCED_OT,
-    "ot": METHOD_BALANCED_OT,
-    "nn": METHOD_NN_BASELINE,
-}
-
-
 class _UsageError(Exception):
     pass
 
@@ -93,8 +84,8 @@ def _add_detection_flags(p: _Parser) -> None:
     """The flags of ``detect`` and ``sweep``."""
     p.add_argument(
         "--method",
-        choices=sorted(_METHODS),
-        default={m: name for name, m in _METHODS.items()}[ChangeDetectionConfig.method],
+        choices=METHODS,
+        default=ChangeDetectionConfig.method,
         help="(default %(default)s)",
     )
     p.add_argument(
@@ -220,7 +211,7 @@ def _detection_config(args, tau: float) -> ChangeDetectionConfig:
         solver=_solver_config(args),
         chunking=_chunking_config(args),
         tau=tau,
-        method=_METHODS[args.method],
+        method=args.method,
         workers=args.workers,
     )
 

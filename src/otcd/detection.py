@@ -34,9 +34,9 @@ from .solver import (
 
 logger = logging.getLogger(__name__)
 
-METHOD_UNBALANCED_OT = "unbalanced_ot"
-METHOD_BALANCED_OT = "balanced_ot"
-METHOD_NN_BASELINE = "nn_baseline"
+METHOD_UNBALANCED_OT = "uot"
+METHOD_BALANCED_OT = "ot"
+METHOD_NN_BASELINE = "nn"
 METHODS = (METHOD_UNBALANCED_OT, METHOD_BALANCED_OT, METHOD_NN_BASELINE)
 
 UNREACHED_SCORE = np.inf

@@ -107,7 +107,7 @@ class SolverConfig:
         if self.rho is None or not 0 < self.rho < math.inf:
             raise ValueError(
                 "rho must be positive and finite; rho=inf is the balanced problem: "
-                "use method balanced_ot (otcd --method ot) or sinkhorn_balanced"
+                "use method ot (METHOD_BALANCED_OT) or sinkhorn_balanced"
             )
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -339,9 +339,9 @@ def _plain_rate(relaxed_rate: float, omega: float) -> float:
 
 
 def _grace_windows(omega: float) -> int:
-    """The number of rate windows, at least 1, that cover
-    ``_GRACE_TRANSIENTS`` transients of sweeps relaxed by ``omega``."""
-    return max(1, math.ceil(_GRACE_TRANSIENTS / ((2.0 - omega) * _RATE_SWEEPS)))
+    """The number of rate windows, at least 1 for ``omega`` below 2, that
+    cover ``_GRACE_TRANSIENTS`` transients of sweeps relaxed by ``omega``."""
+    return math.ceil(_GRACE_TRANSIENTS / ((2.0 - omega) * _RATE_SWEEPS))
 
 
 # the loop checks the gap and the scalings for non-finite values itself
@@ -429,7 +429,8 @@ def _sinkhorn(
     u, u_hat = np.ones(n0), np.empty(n0)
     v, v_hat = np.ones(n1), np.empty(n1)
     Ktu, Kv = np.empty(n1), np.empty(n0)
-    row, prev_row, diff = np.empty(n0), np.empty(n0), np.empty(n0)
+    # against an infinite previous row, the first unbalanced gap is infinite
+    row, prev_row, diff = np.empty(n0), np.full(n0, math.inf), np.empty(n0)
     omega, relaxing, grace, best = 1.0, False, 0, math.inf
     # against an infinite gap the warm-up window measures a rate of 0,
     # which leaves the sweeps plain
@@ -446,11 +447,8 @@ def _sinkhorn(
             np.copyto(v, v_hat)
         np.matmul(K, v, out=Kv)
         np.multiply(u, Kv, out=row)
-        if rho is not None and iterations == 1:
-            gap = math.inf
-        else:
-            np.subtract(row, mu0 if rho is None else prev_row, out=diff)
-            gap = float(np.abs(diff, out=diff).sum())
+        np.subtract(row, mu0 if rho is None else prev_row, out=diff)
+        gap = float(np.abs(diff, out=diff).sum())
         if relaxing:
             best = min(best, gap)
             if not gap <= _DIVERGENCE * best:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from otcd import solver
 from otcd.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -84,7 +85,7 @@ class TestDetect:
         assert len(cloud) == len(truth)
         assert set(np.unique(classes)) <= {0, 1, 2}
         diag = json.loads(open(diag_path).read())
-        assert diag["method"] == "nn_baseline"
+        assert diag["method"] == "nn"
         assert diag["n_chunks"] == len(diag["chunks"])
 
     def test_uot_detect_runs(self, scene_files, tmp_path):
@@ -147,7 +148,7 @@ class TestDetect:
         assert code == EXIT_OK
         assert len(read_ply(out)[0]) == len(cloud)
         diag = _strict_json((tmp_path / "out.diag.json").read_text())
-        assert diag["method"] == "unbalanced_ot"
+        assert diag["method"] == "uot"
         for chunk in diag["chunks"]:
             assert chunk["converged"] and chunk["mass_change"] > 0
 
@@ -203,7 +204,7 @@ class TestDetect:
         cfg = _detection_config(args, tau=args.tau)
         assert cfg.solver == SolverConfig(epsilon_rel=0.01, rho=1000.0)
         assert cfg.chunking == ChunkingConfig()
-        assert cfg.method == "unbalanced_ot"
+        assert cfg.method == "uot"
         # the library defaults are the CLI's, for every field
         assert _solver_config(args) == SolverConfig()
         assert cfg == ChangeDetectionConfig()
@@ -306,7 +307,21 @@ def test_invalid_flag_value_is_usage_error_before_any_read(argv, tmp_path, monke
 def test_infinite_rho_points_to_method_ot(capsys):
     argv = ["detect", *_ABSENT, "--tau", "2", "--rho", "inf", "-o", "o.ply"]
     assert run(argv) == EXIT_USAGE
-    assert "use method balanced_ot (otcd --method ot)" in capsys.readouterr().err
+    assert "use method ot (METHOD_BALANCED_OT)" in capsys.readouterr().err
+
+
+def test_help_lists_the_library_method_ids(capsys):
+    with pytest.raises(SystemExit):
+        run(["detect", "--help"])
+    assert "{uot,ot,nn}" in capsys.readouterr().out
+
+
+def test_diagnostics_name_method_ot_as_the_flag_does(scene_files, tmp_path):
+    t0, t1 = scene_files
+    out = str(tmp_path / "o.ply")
+    argv = ["detect", "--t0", t0, "--t1", t1, "--tau", "4.0", "--method", "ot"]
+    assert run([*argv, "--point-cap", "600", "-o", out]) == EXIT_OK
+    assert json.loads((tmp_path / "o.diag.json").read_text())["method"] == "ot"
 
 
 class TestSweepAndEval:
@@ -325,7 +340,7 @@ class TestSweepAndEval:
         )
         assert code == EXIT_OK
         payload = json.loads(open(out).read())
-        assert payload["method"] == "nn_baseline"
+        assert payload["method"] == "nn"
         assert payload["dataset"] == "toy"
         assert set(payload["iou"]) == {"unchanged", "new", "demolished"}
         assert len(payload["sweep"]) == 3
@@ -543,6 +558,35 @@ class TestBench:
         assert run(["bench", "--sizes", "abc"]) == EXIT_USAGE
 
 
+class TestMemoryGuard:
+    """The dense-allocation guard, on a stubbed reading of available memory:
+    no test allocates an oversized matrix."""
+
+    def test_detect_refusal_is_data_error(
+        self, scene_files, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(solver, "_available_memory_bytes", lambda: 2**10)
+        t0, t1 = scene_files
+        out = str(tmp_path / "o.ply")
+        argv = ["detect", "--t0", t0, "--t1", t1, "--tau", "4.0", "-o", out]
+        assert run(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "GiB" in err and "reduce the chunk point cap" in err
+        assert not os.path.exists(out)
+
+    def test_bench_reports_the_refused_size_as_an_error_row(
+        self, capsys, monkeypatch
+    ):
+        # 1 MiB fits the 10x10 solve, not the 3000x3000 one
+        monkeypatch.setattr(solver, "_available_memory_bytes", lambda: 2**20)
+        code = run(["bench", "--sizes", "10,3000", "--iters", "1"])
+        assert code == EXIT_OK
+        small, refused = json.loads(capsys.readouterr().out)
+        assert small["n"] == 10 and small["wall_ms"] > 0
+        assert refused["n"] == 3000 and set(refused) == {"n", "error"}
+        assert "GiB" in refused["error"]
+
+
 def _run_python(*args):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -595,4 +639,4 @@ def test_scipy_is_loaded_only_by_the_nn_baseline(scene_files, tmp_path):
     assert probe["nn_code"] == EXIT_OK
     assert probe["cKDTree"]
     diag = json.loads((tmp_path / "probe.diag.json").read_text())
-    assert diag["method"] == "nn_baseline" and diag["n_chunks"] >= 2
+    assert diag["method"] == "nn" and diag["n_chunks"] >= 2

@@ -109,6 +109,10 @@ class TestClassify:
 
 
 class TestDetectChanges:
+    def test_change_map_length_is_the_target_count(self):
+        change_map = ChangeMap(np.zeros(3), np.zeros(3, dtype=np.int8), [])
+        assert len(change_map) == 3
+
     def test_change_map_lengths_must_agree(self):
         with pytest.raises(ValueError, match="lengths differ"):
             ChangeMap(np.zeros(3), np.zeros(2, dtype=np.int64), [])
@@ -271,7 +275,7 @@ class TestDetectChanges:
 
     def test_unbalanced_requires_rho(self):
         # refused when the solver config is built, before any chunk is made
-        with pytest.raises(ValueError, match="rho=inf .* balanced_ot"):
+        with pytest.raises(ValueError, match="rho=inf .* method ot "):
             SolverConfig(rho=math.inf)
         assert ChangeDetectionConfig().solver == SolverConfig()
 
@@ -280,6 +284,13 @@ class TestDetectChanges:
             ChangeDetectionConfig(
                 solver=SolverConfig(epsilon=1.0), tau=1.0, method="m3c2"
             )
+
+    def test_method_ids_are_the_cli_names(self):
+        assert (METHOD_UNBALANCED_OT, METHOD_BALANCED_OT, METHOD_NN_BASELINE) == (
+            "uot", "ot", "nn"
+        )
+        with pytest.raises(ValueError, match=r"one of \('uot', 'ot', 'nn'\)"):
+            ChangeDetectionConfig(method="unbalanced_ot")
 
     def test_tau_validated(self):
         with pytest.raises(ValueError, match="tau"):

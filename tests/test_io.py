@@ -681,6 +681,11 @@ class TestPointCloudValidation:
         cloud = PointCloud(xyz=np.zeros((2, 3)), labels=[2.0, 1.0])
         assert cloud.labels.dtype == np.int64 and cloud.labels.tolist() == [2, 1]
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 3, 1)])
+    def test_xyz_shape(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
+            PointCloud(xyz=np.zeros(shape))
+
     def test_nonfinite_coordinates(self):
         with pytest.raises(ValueError, match="finite"):
             PointCloud(xyz=np.array([[0.0, 0.0, np.inf]]))

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from otcd.chunking import ChunkingConfig, build_chunks
 from otcd.detection import METHOD_BALANCED_OT, ChangeDetectionConfig, detect_changes
 from otcd.solver import (
     SolverConfig,
+    SolverResourceError,
     TransportPlan,
     barycentric_projection,
     cost_matrix,
@@ -178,6 +180,34 @@ class TestCostMatrix:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(40, 3)) + 1e6
         assert (cost_matrix(X, X) >= 0).all()
+
+
+class TestMemoryGuard:
+    """The dense-allocation guard, on a stubbed reading of available memory:
+    no test allocates an oversized matrix."""
+
+    def test_cost_matrix_beyond_available_memory(self, monkeypatch):
+        # 400x400 float64 is 1.2 MiB
+        monkeypatch.setattr(solver, "_available_memory_bytes", lambda: 2**20)
+        X = np.zeros((400, 3))
+        with pytest.raises(SolverResourceError, match=r"GiB.* chunk point cap"):
+            cost_matrix(X, X)
+
+    def test_kernel_copy_beyond_available_memory(self, monkeypatch):
+        C = cost_matrix(np.zeros((400, 3)), np.ones((400, 3)))
+        monkeypatch.setattr(solver, "_available_memory_bytes", lambda: 2**20)
+        with pytest.raises(SolverResourceError, match="Gibbs kernel needs"):
+            sinkhorn_balanced(C, SolverConfig(epsilon=1.0))
+
+    def test_memory_error_becomes_resource_error(self, monkeypatch):
+        def refuse(shape):
+            raise MemoryError(f"Unable to allocate array with shape {shape}")
+
+        monkeypatch.setattr(solver, "_available_memory_bytes", lambda: None)
+        monkeypatch.setattr(solver, "np", SimpleNamespace(empty=refuse))
+        with pytest.raises(SolverResourceError, match="Unable to allocate") as info:
+            solver._dense_matrix(3, 4, "a 3x4 matrix")
+        assert info.value.__cause__ is None
 
 
 class TestSolverConfig:
