@@ -22,6 +22,10 @@ STATUS_ADDED = "added"
 STATUS_REMOVED = "removed"
 _STATUSES = (STATUS_PERSISTENT, STATUS_ADDED, STATUS_REMOVED)
 
+# generate_pair draws each epoch's points at once; a spec that expects more
+# is refused before any array is allocated
+MAX_POINTS_PER_EPOCH = 10**8
+
 
 @dataclass(frozen=True)
 class Building:
@@ -72,10 +76,22 @@ class SceneSpec:
             raise ValueError(f"extent must be positive and finite, got {self.extent}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.ground_density <= 0 or self.density_t1_ratio <= 0:
-            raise ValueError("densities must be positive")
-        if self.noise_sigma_z < 0:
-            raise ValueError("noise_sigma_z must be nonnegative")
+        for density in (self.ground_density, self.density_t1_ratio):
+            if not 0 < density < np.inf:
+                raise ValueError("densities must be positive and finite")
+        if not 0 <= self.noise_sigma_z < np.inf:
+            raise ValueError("noise_sigma_z must be nonnegative and finite")
+        # a product, not a power: a float power raises OverflowError where a
+        # product overflows to inf; the negated test refuses inf and NaN
+        expected = (
+            self.extent * self.extent
+            * self.ground_density * max(1.0, self.density_t1_ratio)
+        )
+        if not expected <= MAX_POINTS_PER_EPOCH:
+            raise ValueError(
+                f"extent {self.extent} at these densities expects {expected:.3g} "
+                f"points per epoch; at most {MAX_POINTS_PER_EPOCH:.0e} are generated"
+            )
         object.__setattr__(self, "buildings", tuple(self.buildings))
         for b in self.buildings:
             x0, y0, x1, y1 = b.footprint

@@ -174,6 +174,13 @@ class TestDetect:
         assert code == EXIT_STRICT
         # outputs still written for inspection
         assert os.path.exists(out)
+        # a uot chunk stopped after one sweep has no stopping gap to report
+        diag = _strict_json((tmp_path / "strict.diag.json").read_text())
+        assert diag["chunks"]
+        for chunk in diag["chunks"]:
+            assert (chunk["iterations"], chunk["converged"], chunk["gap"]) == (
+                1, False, None
+            )
 
     def test_usage_error_on_unknown_command(self):
         assert run(["frobnicate"]) == EXIT_USAGE
@@ -295,6 +302,12 @@ _ABSENT = ["--t0", "absent_t0.xyz", "--t1", "absent_t1.xyz"]
         ["synth", "--preset", "multi_density", "--extent", "0", "--out-prefix", "o"],
         ["synth", "--preset", "multi_density", "--extent", "-5", "--out-prefix", "o"],
         ["synth", "--preset", "multi_density", "--seed", "-1", "--out-prefix", "o"],
+        # 2e14 points per epoch: refused before numpy is asked for the arrays
+        ["synth", "--preset", "low_res_low_noise", "--extent", "1e7",
+         "--out-prefix", "o"],
+        # the expected point count overflows to inf
+        ["synth", "--preset", "low_res_low_noise", "--extent", "1e300",
+         "--out-prefix", "o"],
     ],
     ids=lambda argv: " ".join(a for a in argv if a not in _ABSENT),
 )
@@ -325,22 +338,23 @@ def test_diagnostics_name_method_ot_as_the_flag_does(scene_files, tmp_path):
 
 
 class TestSweepAndEval:
-    def test_sweep_writes_metrics_json(self, scene_files, tmp_path):
+    @pytest.mark.parametrize("method", ["uot", "ot", "nn"])
+    def test_sweep_writes_metrics_json(self, scene_files, tmp_path, method):
         t0, t1 = scene_files
         out = str(tmp_path / "metrics.json")
         code = run(
             [
                 "sweep", "--t0", t0, "--t1", t1,
                 "--tau-grid", "2,4,6",
-                "--method", "nn",
+                "--method", method,
                 "--point-cap", "600",
                 "--dataset", "toy",
                 "-o", out,
             ]
         )
         assert code == EXIT_OK
-        payload = json.loads(open(out).read())
-        assert payload["method"] == "nn"
+        payload = _strict_json(open(out).read())
+        assert payload["method"] == method
         assert payload["dataset"] == "toy"
         assert set(payload["iou"]) == {"unchanged", "new", "demolished"}
         assert len(payload["sweep"]) == 3
@@ -535,11 +549,16 @@ class TestSynthAndStats:
         assert f"error: {bpath}: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [bpath]
 
-    def test_chunk_stats_json(self, scene_files, capsys):
+    # a halo selects each chunk's sources from the grown cell
+    @pytest.mark.parametrize("halo", ["0", "4"])
+    def test_chunk_stats_json(self, scene_files, capsys, halo):
         t0, t1 = scene_files
-        code = run(["chunk-stats", "--t0", t0, "--t1", t1, "--point-cap", "300"])
+        code = run(
+            ["chunk-stats", "--t0", t0, "--t1", t1, "--point-cap", "300",
+             "--halo", halo]
+        )
         assert code == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
+        payload = _strict_json(capsys.readouterr().out)
         assert payload["count"] >= 4
         assert set(payload["src"]) == {"min", "median", "max"}
         assert payload["tgt"]["max"] <= 300
@@ -587,8 +606,8 @@ class TestMemoryGuard:
         assert "GiB" in refused["error"]
 
 
-def _run_python(*args):
-    env = dict(os.environ)
+def _run_python(*args, **env_vars):
+    env = dict(os.environ, **env_vars)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -603,6 +622,42 @@ def test_module_entrypoint_smoke(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert os.path.exists(str(tmp_path / "cli_t1.xyz"))
+
+
+_RUN_ALL = """
+import json, sys
+import otcd.cli
+sys.exit(max(otcd.cli.run(argv) for argv in json.loads(sys.argv[1])))
+"""
+
+
+def test_worker_count_does_not_change_bytes_with_two_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count when it loads: a fresh interpreter
+    prefix = str(tmp_path / "s")
+    argv = ["synth", "--preset", "low_res_low_noise", "--seed", "1"]
+    assert run([*argv, "--out-prefix", prefix]) == EXIT_OK
+    cases = {
+        # four ~500x500 chunks, far above the 9,216 cells from which
+        # OpenBLAS threads a gemv, whose uot sweeps are over-relaxed
+        "uot": ["--method", "uot", "--point-cap", "1000"],
+        # 16 balanced chunks of up to ~500 halo sources x ~140 targets
+        "halo": ["--method", "ot", "--halo", "4", "--point-cap", "300"],
+    }
+    common = ["detect", "--t0", prefix + "_t0.xyz", "--t1", prefix + "_t1.xyz",
+              "--tau", "2"]
+    argvs = [
+        [*common, *flags, "--workers", workers, "-o", f"{prefix}.{name}.w{workers}.ply"]
+        for name, flags in cases.items()
+        for workers in ("1", "2")
+    ]
+    result = _run_python("-c", _RUN_ALL, json.dumps(argvs), OPENBLAS_NUM_THREADS="2")
+    assert result.returncode == EXIT_OK, result.stderr
+    for name in cases:
+        one, two = (
+            (tmp_path / f"s.{name}.w{workers}.ply").read_bytes()
+            for workers in ("1", "2")
+        )
+        assert one == two, name
 
 
 _SCIPY_PROBE = """

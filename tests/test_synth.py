@@ -7,6 +7,7 @@ import pytest
 from otcd.cli import EXIT_OK, run
 from otcd.io import CLASS_DEMOLISHED, CLASS_NEW, CLASS_UNCHANGED
 from otcd.synth import (
+    MAX_POINTS_PER_EPOCH,
     Building,
     SceneSpec,
     buildings_from_list,
@@ -151,6 +152,37 @@ class TestSpecValidation:
     def test_extent_positive_and_finite(self, extent):
         with pytest.raises(ValueError, match="extent"):
             _spec(extent=extent)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("ground_density", "densities"),
+            ("density_t1_ratio", "densities"),
+            ("noise_sigma_z", "noise_sigma_z"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_densities_and_noise_finite(self, field, message, value):
+        with pytest.raises(ValueError, match=f"{message} must be .* finite"):
+            _spec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(extent=1e7),
+            dict(extent=1e300),  # the expected count overflows to inf
+            dict(extent=1e4, ground_density=1.0, density_t1_ratio=2.0),
+            dict(ground_density=1e300, density_t1_ratio=1e300),
+        ],
+    )
+    def test_expected_point_count_bounded(self, fields):
+        with pytest.raises(ValueError, match="points per epoch"):
+            _spec(**fields)
+
+    def test_expected_point_count_at_the_bound_is_accepted(self):
+        # a spec is only checked here; no point is drawn
+        spec = _spec(extent=1e4, ground_density=1.0)
+        assert spec.extent**2 * spec.ground_density == MAX_POINTS_PER_EPOCH
 
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
