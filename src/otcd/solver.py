@@ -18,9 +18,10 @@ log-potentials folded in so that no entry underflows at the start, and the
 scalings are absorbed back into the kernel whenever they drift far from 1.
 Each sweep is two BLAS matrix-vector products into buffers allocated once
 per solve. Sweeps of both problems are over-relaxed once the rate at which
-they converge has been measured. An exact linear-programming oracle for tiny
-instances and the barycentric projection of a plan onto the target support
-live here too.
+they converge has been measured, from sweep 12 on; a relaxed solve that
+diverges measures that rate again over a window twice as long. An exact
+linear-programming oracle for tiny instances and the barycentric projection
+of a plan onto the target support live here too.
 """
 
 from __future__ import annotations
@@ -47,9 +48,14 @@ _MEDIAN_SAMPLE_CELLS = 1 << 19
 # kernel, far from float64 overflow and underflow
 _ABSORB_BOUND = 1e50
 
-# a solve measures how fast its stopping gap contracts over windows of
-# this many sweeps; the first window is warm-up
-_RATE_SWEEPS = 32
+# a solve first measures how fast its stopping gap contracts over windows
+# of this many sweeps; the first window is warm-up, so sweeps are first
+# relaxed at sweep 12
+_RATE_SWEEPS = 6
+# a relaxed solve that diverges doubles its window, up to this many sweeps,
+# and measures its rate again from a warm-up window; short windows relax
+# early, long ones measure a slow solve's rate well enough to relax it
+_RATE_SWEEPS_MAX = 32
 # a rate whose over-relaxation factor reaches this bound (above ~0.999994)
 # means the gaps barely contract yet, or stall between jumps: sweeps stay
 # plain and the rate is measured again one window later. Below it, factors
@@ -57,12 +63,14 @@ _RATE_SWEEPS = 32
 # assignments differ by ~25 epsilon); there the gaps contract steadily
 _OMEGA_MAX = 1.995
 # a relaxed iteration's transient lasts about 1 / (2 - omega) sweeps; the
-# windows in this many of those after relaxing starts or omega grows are not
-# compared
+# rate windows, of the length in force, that cover this many of those after
+# relaxing starts or omega grows are not compared: one or two 6-sweep
+# windows for the omega of 1.6-1.8 that the benchmark's chunks relax with
 _GRACE_TRANSIENTS = 2.0
 # an over-relaxed gap this far above its best value since relaxing began,
 # or a relaxed scaling this far beyond the absorption bounds, counts as
-# divergence
+# divergence: the window doubles, and at _RATE_SWEEPS_MAX sweeps the solve
+# stays plain for good
 _DIVERGENCE = 1e3
 
 
@@ -338,10 +346,22 @@ def _plain_rate(relaxed_rate: float, omega: float) -> float:
     return (relaxed_rate + omega - 1.0) ** 2 / (relaxed_rate * omega * omega)
 
 
-def _grace_windows(omega: float) -> int:
-    """The number of rate windows, at least 1 for ``omega`` below 2, that
-    cover ``_GRACE_TRANSIENTS`` transients of sweeps relaxed by ``omega``."""
-    return math.ceil(_GRACE_TRANSIENTS / ((2.0 - omega) * _RATE_SWEEPS))
+def _grace_windows(omega: float, window: int) -> int:
+    """The number of rate windows of ``window`` sweeps, at least 1 for
+    ``omega`` below 2, that cover ``_GRACE_TRANSIENTS`` transients of sweeps
+    relaxed by ``omega``."""
+    return math.ceil(_GRACE_TRANSIENTS / ((2.0 - omega) * window))
+
+
+def _lengthened(window: int, iterations: int) -> tuple[int, float]:
+    """The rate window, and the sweep that ends its warm-up, after a
+    relaxed solve diverged at sweep ``iterations`` on windows of ``window``
+    sweeps: twice as long, up to ``_RATE_SWEEPS_MAX``. Once the full window
+    diverged, the end is infinite: the solve stays plain for good."""
+    if window == _RATE_SWEEPS_MAX:
+        return window, math.inf
+    window = min(2 * window, _RATE_SWEEPS_MAX)
+    return window, iterations + window
 
 
 # the loop checks the gap and the scalings for non-finite values itself
@@ -371,25 +391,31 @@ def _sinkhorn(
     differs visibly from the exact entropic one.
 
     Both problems are over-relaxed (Thibault, Chizat, Dossal and Papadakis,
-    Algorithms 2021). Every ``_RATE_SWEEPS`` sweeps a solve measures the
-    rate r at which the stopping gap contracts per sweep; after the first,
-    warm-up window it sets ``omega = 2 / (1 + sqrt(1 - r))`` and updates
-    both scalings as ``x**(1 - omega) * x_hat**omega``, where ``x_hat`` is
-    the plain update. The windows of the relaxed transient, in which the
-    gap jumps (:func:`_grace_windows`; one on the synthetic chunks), are
-    not compared. After them, a relaxed window that contracts no faster
-    than r sends the solve back to plain sweeps, which measure r afresh
-    after a warm-up window. In a balanced solve, one that contracts more
-    slowly than ``omega`` allows raises ``omega`` to the factor of the plain
-    rate that it implies (:func:`_plain_rate`), so that a solve whose plain
-    rate keeps slowing follows it. The translation below is outside the
-    relation that rate rests on: on the ``uot_large_chunks`` chunks of the
-    benchmark it would raise ``omega`` from ~1.70 to ~1.76 and stop the
-    drift rule 2-3 times farther from the fixed point in mean score. A
-    solve returns to plain sweeps for good when the gap turns
-    NaN or exceeds ``_DIVERGENCE`` times its best, when a scaling
-    overshoots the absorption bounds by that factor, and once the gap
-    reaches ``tol``: convergence is always declared on a plain sweep.
+    Algorithms 2021). A solve measures the rate r at which the stopping gap
+    contracts per sweep over windows of ``_RATE_SWEEPS`` (6) sweeps; after
+    the first, warm-up window, at sweep 12, it sets
+    ``omega = 2 / (1 + sqrt(1 - r))`` and updates both scalings as
+    ``x**(1 - omega) * x_hat**omega``, where ``x_hat`` is the plain update.
+    The windows of the relaxed transient, in which the gap jumps
+    (:func:`_grace_windows`; one or two on the benchmark's chunks), are not
+    compared. After them, a relaxed window that contracts no faster than r
+    sends the solve back to plain sweeps, which measure r afresh after a
+    warm-up window. In a balanced solve, one that contracts more slowly
+    than ``omega`` allows raises ``omega`` to the factor of the plain rate
+    that it implies (:func:`_plain_rate`), so that a solve whose plain rate
+    keeps slowing follows it. The translation below is outside the relation
+    that rate rests on, so an unbalanced solve keeps the factor of its
+    measured rate.
+
+    A relaxed solve diverges when the gap turns NaN or exceeds
+    ``_DIVERGENCE`` times its best, or when a scaling overshoots the
+    absorption bounds by that factor. It then goes on with plain sweeps,
+    doubles its window (6, 12, 24, then ``_RATE_SWEEPS_MAX`` = 32 sweeps)
+    and measures r again from a warm-up window: short windows relax early,
+    and a longer one measures a slow solve's rate well enough to relax it.
+    A divergence on the full window returns the solve to plain sweeps for
+    good, and so does a gap that reaches ``tol``: convergence is always
+    declared on a plain sweep.
 
     An unbalanced solve also translates the potentials after each source
     update: ``a`` gains the constant of :func:`_translation` and ``b``
@@ -403,9 +429,9 @@ def _sinkhorn(
     shrinks by 0.988 per sweep at 4e-4, slower than the 0.970 of the plain
     sweeps before; the solve falls back to plain sweeps and stops two
     sweeps later, with scores up to 9e-4 m from the fixed point. With it,
-    the drift follows the plan: those chunks take 130-170 sweeps instead of
-    300-450, with scores within 2.2e-4 m of the fixed point, against
-    3.6e-3 m for plain sweeps.
+    the drift follows the plan: the chunks of the benchmark's seed-1 scenes
+    take 80-145 sweeps instead of 245-425, with scores within 1.6e-4 m of
+    the fixed point, against 3.1e-3 m for plain sweeps.
 
     Mat-vecs are BLAS gemv calls (``np.matmul``) into vectors allocated
     once per solve, and the scalings are updated in place. A product that
@@ -433,8 +459,9 @@ def _sinkhorn(
     row, prev_row, diff = np.empty(n0), np.full(n0, math.inf), np.empty(n0)
     omega, relaxing, grace, best = 1.0, False, 0, math.inf
     # against an infinite gap the warm-up window measures a rate of 0,
-    # which leaves the sweeps plain
-    measuring, window_gap = True, math.inf
+    # which leaves the sweeps plain; window_end is the sweep that closes
+    # the current rate window, infinite once the rate is no longer measured
+    window, window_end, window_gap = _RATE_SWEEPS, _RATE_SWEEPS, math.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -453,8 +480,10 @@ def _sinkhorn(
             best = min(best, gap)
             if not gap <= _DIVERGENCE * best:
                 # a NaN gap, or one far above its best: the relaxed iteration
-                # diverges; plain sweeps from the current (finite) u on
-                omega, relaxing, measuring = 1.0, False, False
+                # diverges; plain sweeps from the current (finite) u on, which
+                # measure the rate again on a longer window
+                omega, relaxing, best, window_gap = 1.0, False, math.inf, math.inf
+                window, window_end = _lengthened(window, iterations)
                 continue
         elif math.isnan(gap):
             raise SolverNumericalError(
@@ -466,16 +495,16 @@ def _sinkhorn(
                 break
             # finish with plain sweeps, so that a converged plan meets the
             # same marginal bound as plain Sinkhorn
-            relaxing = measuring = False
-        elif measuring and iterations % _RATE_SWEEPS == 0:
-            window_rate = (gap / window_gap) ** (1.0 / _RATE_SWEEPS)
-            window_gap = gap
+            relaxing, window_end = False, math.inf
+        elif iterations == window_end:
+            window_rate = (gap / window_gap) ** (1.0 / window)
+            window_gap, window_end = gap, window_end + window
             if not relaxing:
                 rate = window_rate
                 omega = _relaxation_factor(rate)
                 relaxing = 1.0 < omega < _OMEGA_MAX
                 omega = omega if relaxing else 1.0
-                grace = _grace_windows(omega)
+                grace = _grace_windows(omega, window)
             elif grace:
                 # the gap jumps when relaxing starts or omega grows; the
                 # windows of that transient are not compared with r
@@ -491,7 +520,7 @@ def _sinkhorn(
                 faster = _relaxation_factor(_plain_rate(window_rate, omega))
                 if omega < faster < _OMEGA_MAX:
                     omega = faster
-                    grace = _grace_windows(omega)
+                    grace = _grace_windows(omega, window)
         row, prev_row = prev_row, row
         # a row whose Kv underflowed to 0 has lost its mass for good: its
         # scaling stays 0 rather than turning into inf * 0
@@ -508,8 +537,10 @@ def _sinkhorn(
             if relaxing and not (_in_range(u, bound) and _in_range(v, bound)):
                 # a relaxed scaling that overshot the absorption bounds
                 # this far, or is not finite, diverges too, and absorbing it
-                # could overflow the kernel: keep this sweep's plain updates
-                omega, relaxing, measuring = 1.0, False, False
+                # could overflow the kernel: keep this sweep's plain updates,
+                # and measure the rate again on a longer window
+                omega, relaxing, best, window_gap = 1.0, False, math.inf, math.inf
+                window, window_end = _lengthened(window, iterations)
                 np.copyto(u, u_hat)
                 np.copyto(v, v_hat)
             kept = u > 0

@@ -81,11 +81,16 @@ class SceneSpec:
                 raise ValueError("densities must be positive and finite")
         if not 0 <= self.noise_sigma_z < np.inf:
             raise ValueError("noise_sigma_z must be nonnegative and finite")
-        # a product, not a power: a float power raises OverflowError where a
-        # product overflows to inf; the negated test refuses inf and NaN
+        # a product of floats, not a power: a float power, or an int
+        # extent's exact square times a float, raises OverflowError where a
+        # float product overflows to inf; an int extent beyond the float
+        # range counts as inf. The negated test refuses inf and NaN
+        try:
+            side = float(self.extent)
+        except OverflowError:
+            side = np.inf
         expected = (
-            self.extent * self.extent
-            * self.ground_density * max(1.0, self.density_t1_ratio)
+            side * side * self.ground_density * max(1.0, self.density_t1_ratio)
         )
         if not expected <= MAX_POINTS_PER_EPOCH:
             raise ValueError(

@@ -397,11 +397,12 @@ class TestOverRelaxation:
         np.testing.assert_allclose(absorbed.coupling, base.coupling, rtol=0, atol=1e-12)
 
     def test_halo_chunk_needs_half_the_plain_sweeps(self):
-        # plain sweeps, the solver before over-relaxation: 787 on this chunk
+        # plain sweeps, the solver before over-relaxation: 787 on this chunk;
+        # relaxed from sweep 12: 86
         C, eps = _halo_chunk_cost(seed=7, chunk_id=3)
         plan = sinkhorn_balanced(C, SolverConfig(epsilon=eps))
         assert plan.converged
-        assert plan.iterations <= 787 // 2
+        assert plan.iterations <= 95
 
     def test_converged_marginals_within_tol(self):
         # seed 33 ends 20 tol off its row marginal if the solve stops on a
@@ -419,17 +420,22 @@ class TestOverRelaxation:
                 assert row <= 1e-7 and col <= 1e-7, f"seed {seed}"
 
     @pytest.mark.parametrize(
-        "seed, shape",
+        "seed, shape, ends_plain",
         [
-            # the gap jumps far above its best
-            (162, (15, 15)),
+            # the gap jumps far above its best at sweep 14 and 239; relaxing
+            # again on 12- and then 24-sweep windows, it converges in 764
+            pytest.param(162, (15, 15), False, id="162-shape0"),
             # the gap stays moderate while the scalings overshoot the
-            # absorption bounds; absorbing them would overflow the kernel
-            (0, (27, 12)),
+            # absorption bounds; absorbing them would overflow the kernel.
+            # It diverges on every window up to the full one, and ends on
+            # plain sweeps
+            pytest.param(0, (27, 12), True, id="0-shape1"),
         ],
     )
-    def test_divergence_falls_back_to_plain_sweeps(self, monkeypatch, seed, shape):
-        # a forced omega of 1.99 relaxes from sweep 32 on; without falling
+    def test_divergence_falls_back_to_plain_sweeps(
+        self, monkeypatch, seed, shape, ends_plain
+    ):
+        # a forced omega of 1.99 relaxes from sweep 12 on; without falling
         # back to plain sweeps these instances end in non-finite values
         monkeypatch.setattr(solver, "_relaxation_factor", lambda rate: 1.99)
         monkeypatch.setattr(solver, "_OMEGA_MAX", 2.0)
@@ -437,14 +443,40 @@ class TestOverRelaxation:
         tol = 1e-5
         plan = sinkhorn_balanced(C, SolverConfig(epsilon=1e-3, tol=tol, max_iter=4000))
         assert np.isfinite(plan.coupling).all()
-        assert plan.omega == 1.0
         row, _ = _uniform_violations(plan)
         assert plan.converged == (row <= tol) == (plan.gap <= tol)
+        if ends_plain:
+            assert plan.omega == 1.0
+        else:
+            assert plan.converged
+
+    @pytest.mark.parametrize("instance", [12, 26, 35])
+    def test_divergence_lengthens_the_rate_window(self, instance):
+        # criterion 1's instances 12, 26 and 35 diverge while relaxed on
+        # 6-sweep windows; re-measured on 12- (and 35 on 24-) sweep windows
+        # they converge in 190, 370 and 175 sweeps. Ending relaxation for
+        # good, or re-measuring on 6-sweep windows, leaves each of them
+        # unconverged after 4000
+        rng = np.random.default_rng(1000 + instance)
+        C = rng.random((int(rng.integers(2, 16)), int(rng.integers(2, 16))))
+        tol = 1e-5
+        plan = sinkhorn_balanced(C, SolverConfig(epsilon=1e-3, tol=tol, max_iter=4000))
+        assert plan.converged
+        row, col = _uniform_violations(plan)
+        assert row <= tol and col <= tol
+
+    def test_relaxing_starts_at_sweep_12(self):
+        # a 6-sweep warm-up window, then a 6-sweep window that measures the
+        # rate; omega is set on the sweep that closes it
+        C = np.random.default_rng(2000).random((200, 250))
+        cfg = SolverConfig(epsilon=0.003, tol=1e-6)
+        assert sinkhorn_balanced(C, replace(cfg, max_iter=11)).omega == 1.0
+        assert sinkhorn_balanced(C, replace(cfg, max_iter=12)).omega > 1.0
 
     def test_relaxation_slower_than_plain_falls_back(self):
-        # criterion 1's instance 24: relaxed from sweep 64, its gap shrinks
-        # more slowly than plain sweeps shrank it, and it stays above tol
-        # after 4000 sweeps; plain sweeps converge
+        # criterion 1's instance 24: relaxed from sweep 12, its gap shrinks
+        # more slowly than plain sweeps shrank it; it falls back and
+        # converges on plain sweeps in 227, where relaxing on takes 335
         rng = np.random.default_rng(1024)
         C = rng.random((int(rng.integers(2, 16)), int(rng.integers(2, 16))))
         plan = sinkhorn_balanced(C, SolverConfig(epsilon=1e-3, tol=1e-5, max_iter=4000))
@@ -558,7 +590,7 @@ class TestUnbalancedOverRelaxation:
         ],
     )
     def test_divergence_falls_back_to_plain_sweeps(self, monkeypatch, seed, shape):
-        # a forced omega of 1.99 relaxes from sweep 32 on; without falling
+        # a forced omega of 1.99 relaxes from sweep 12 on; without falling
         # back to plain sweeps these instances end in non-finite values
         monkeypatch.setattr(solver, "_relaxation_factor", lambda rate: 1.99)
         monkeypatch.setattr(solver, "_OMEGA_MAX", 2.0)

@@ -173,6 +173,8 @@ class TestSpecValidation:
             dict(extent=1e300),  # the expected count overflows to inf
             dict(extent=1e4, ground_density=1.0, density_t1_ratio=2.0),
             dict(ground_density=1e300, density_t1_ratio=1e300),
+            dict(extent=10**200, ground_density=1.0),  # its square is no float
+            dict(extent=10**400, ground_density=1.0),  # nor is the int itself
         ],
     )
     def test_expected_point_count_bounded(self, fields):
