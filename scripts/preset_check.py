@@ -2,11 +2,11 @@
 """Four-preset check: best change IoU of OT and UOT on every sensor preset.
 
 Each preset's densities and noise are laid out as the six-building scene of
-the acceptance suite (extent 48 m, 3 added 10 m and 3 removed 12 m
-buildings, 10 m tall), one scene per seed. Every scene is run through
-``detect_changes`` with ``--method ot`` and ``--method uot`` at the solver
-defaults of ``otcd detect``, and its best mean change IoU is taken over the
-0.05-10 m tau grid in 0.05 m steps.
+the acceptance suite (``synth.six_buildings``: extent 48 m, 3 added 10 m
+and 3 removed 12 m buildings, 10 m tall), one scene per seed. Every scene
+is run through ``detect_changes`` with ``--method ot`` and ``--method
+uot`` at the solver defaults of ``otcd detect``, and its best mean change
+IoU is taken over the 0.05-10 m tau grid in 0.05 m steps.
 
 Prints one JSON line per preset and method: the mean, min and max best IoU
 over the seeds, the total sweeps and the number of chunks that did not
@@ -17,7 +17,6 @@ converge. The check only reports; it changes no default.
 
 import argparse
 import json
-from dataclasses import replace
 
 from otcd.chunking import ChunkingConfig
 from otcd.detection import (
@@ -27,19 +26,10 @@ from otcd.detection import (
     detect_changes,
 )
 from otcd.metrics import sweep_scores
-from otcd.synth import Building, SceneSpec, generate_pair, preset, preset_names
+from otcd.synth import generate_pair, preset_names, six_buildings
 
 TAUS = [k / 20 for k in range(1, 201)]
 METHODS = (METHOD_BALANCED_OT, METHOD_UNBALANCED_OT)
-
-
-def six_building_scene(name: str, seed: int) -> SceneSpec:
-    """The acceptance suite's six-building layout at preset ``name``."""
-    buildings = []
-    for k, (y, x) in enumerate((y, x) for y in (3.0, 19.0, 35.0) for x in (5.0, 29.0)):
-        status, side = ("added", 10.0) if k % 2 == 0 else ("removed", 12.0)
-        buildings.append(Building((x, y, x + side, y + side), 10.0, status))
-    return replace(preset(name), extent=48.0, buildings=tuple(buildings), seed=seed)
 
 
 def check(name: str, seeds: list[int], point_cap: int) -> list[dict]:
@@ -48,7 +38,7 @@ def check(name: str, seeds: list[int], point_cap: int) -> list[dict]:
     sweeps = dict.fromkeys(METHODS, 0)
     unconverged = dict.fromkeys(METHODS, 0)
     for seed in seeds:
-        pc0, pc1 = generate_pair(six_building_scene(name, seed))
+        pc0, pc1 = generate_pair(six_buildings(seed, name))
         for method in METHODS:
             cfg = ChangeDetectionConfig(
                 chunking=ChunkingConfig(point_cap=point_cap), method=method
@@ -84,16 +74,6 @@ def _seeds(text: str) -> list[int]:
         ) from None
 
 
-def _presets(text: str) -> list[str]:
-    names = text.split(",")
-    for name in names:
-        try:
-            preset(name)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return names
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -105,14 +85,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--point-cap", type=int, default=2500, help="chunk point cap (default 2500)"
     )
-    parser.add_argument(
-        "--presets",
-        type=_presets,
-        default=list(preset_names()),
-        help="comma list of presets (default all)",
-    )
     args = parser.parse_args(argv)
-    for name in args.presets:
+    for name in preset_names():
         for row in check(name, args.seeds, args.point_cap):
             print(json.dumps(row), flush=True)
     return 0

@@ -67,10 +67,10 @@ _OMEGA_MAX = 1.995
 # relaxing starts or omega grows are not compared: one or two 6-sweep
 # windows for the omega of 1.6-1.8 that the benchmark's chunks relax with
 _GRACE_TRANSIENTS = 2.0
-# an over-relaxed gap this far above its best value since relaxing began,
-# or a relaxed scaling this far beyond the absorption bounds, counts as
-# divergence: the window doubles, and at _RATE_SWEEPS_MAX sweeps the solve
-# stays plain for good
+# an over-relaxed gap this far above its best value since relaxing last
+# began, or a relaxed scaling this far beyond the absorption bounds, counts
+# as divergence: the window doubles, and at _RATE_SWEEPS_MAX sweeps the
+# solve stays plain for good
 _DIVERGENCE = 1e3
 
 
@@ -408,11 +408,13 @@ def _sinkhorn(
     measured rate.
 
     A relaxed solve diverges when the gap turns NaN or exceeds
-    ``_DIVERGENCE`` times its best, or when a scaling overshoots the
-    absorption bounds by that factor. It then goes on with plain sweeps,
-    doubles its window (6, 12, 24, then ``_RATE_SWEEPS_MAX`` = 32 sweeps)
-    and measures r again from a warm-up window: short windows relax early,
-    and a longer one measures a slow solve's rate well enough to relax it.
+    ``_DIVERGENCE`` times its best since this relaxed phase began (the gap
+    a fallback leaves can be far above an earlier phase's best), or when a
+    scaling overshoots the absorption bounds by that factor. It then goes
+    on with plain sweeps, doubles its window (6, 12, 24, then
+    ``_RATE_SWEEPS_MAX`` = 32 sweeps) and measures r again from a warm-up
+    window: short windows relax early, and a longer one measures a slow
+    solve's rate well enough to relax it.
     A divergence on the full window returns the solve to plain sweeps for
     good, and so does a gap that reaches ``tol``: convergence is always
     declared on a plain sweep.
@@ -457,7 +459,7 @@ def _sinkhorn(
     Ktu, Kv = np.empty(n1), np.empty(n0)
     # against an infinite previous row, the first unbalanced gap is infinite
     row, prev_row, diff = np.empty(n0), np.full(n0, math.inf), np.empty(n0)
-    omega, relaxing, grace, best = 1.0, False, 0, math.inf
+    omega, relaxing, grace = 1.0, False, 0
     # against an infinite gap the warm-up window measures a rate of 0,
     # which leaves the sweeps plain; window_end is the sweep that closes
     # the current rate window, infinite once the rate is no longer measured
@@ -482,7 +484,7 @@ def _sinkhorn(
                 # a NaN gap, or one far above its best: the relaxed iteration
                 # diverges; plain sweeps from the current (finite) u on, which
                 # measure the rate again on a longer window
-                omega, relaxing, best, window_gap = 1.0, False, math.inf, math.inf
+                omega, relaxing, window_gap = 1.0, False, math.inf
                 window, window_end = _lengthened(window, iterations)
                 continue
         elif math.isnan(gap):
@@ -505,6 +507,8 @@ def _sinkhorn(
                 relaxing = 1.0 < omega < _OMEGA_MAX
                 omega = omega if relaxing else 1.0
                 grace = _grace_windows(omega, window)
+                # divergence is judged against this relaxed phase's gaps only
+                best = math.inf
             elif grace:
                 # the gap jumps when relaxing starts or omega grows; the
                 # windows of that transient are not compared with r
@@ -539,7 +543,7 @@ def _sinkhorn(
                 # this far, or is not finite, diverges too, and absorbing it
                 # could overflow the kernel: keep this sweep's plain updates,
                 # and measure the rate again on a longer window
-                omega, relaxing, best, window_gap = 1.0, False, math.inf, math.inf
+                omega, relaxing, window_gap = 1.0, False, math.inf
                 window, window_end = _lengthened(window, iterations)
                 np.copyto(u, u_hat)
                 np.copyto(v, v_hat)

@@ -11,7 +11,7 @@ added-building roofs, 2 on ground inside removed footprints, 0 elsewhere.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -221,6 +221,20 @@ def preset(name: str) -> SceneSpec:
 
 def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESETS))
+
+
+def six_buildings(seed: int, preset_name: str = "multi_density") -> SceneSpec:
+    """The six-building scene at the densities and noise of preset
+    ``preset_name``: extent 48 m, with three added 10 m and three removed
+    12 m footprints, all 10 m tall, on a 2 x 3 grid. The removed footprints
+    are larger, so the scene destroys net mass."""
+    buildings = []
+    for k, (y, x) in enumerate((y, x) for y in (3.0, 19.0, 35.0) for x in (5.0, 29.0)):
+        status, side = (STATUS_ADDED, 10.0) if k % 2 == 0 else (STATUS_REMOVED, 12.0)
+        buildings.append(Building((x, y, x + side, y + side), 10.0, status))
+    return replace(
+        preset(preset_name), extent=48.0, buildings=tuple(buildings), seed=seed
+    )
 
 
 def buildings_from_list(items) -> tuple[Building, ...]:

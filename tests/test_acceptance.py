@@ -34,7 +34,7 @@ from otcd import (
     sweep_scores,
 )
 from otcd.cli import run as cli_run
-from otcd.synth import Building
+from otcd.synth import six_buildings
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -128,29 +128,6 @@ def test_criterion_4_identity_scene_all_unchanged():
     _report(4, f"{len(pc0)} points, 100% class 0 at tau=0.5")
 
 
-def _six_building_scene(seed: int = 11):
-    """3 added and 3 removed 10 m buildings at multi_density preset
-    densities; removed footprints are larger, so the scene destroys net
-    mass."""
-    added = 10.0
-    removed = 12.0
-    xs = [5.0, 29.0]
-    ys = [3.0, 19.0, 35.0]
-    buildings = []
-    k = 0
-    for y in ys:
-        for x in xs:
-            status = "added" if k % 2 == 0 else "removed"
-            side = added if status == "added" else removed
-            buildings.append(
-                Building(footprint=(x, y, x + side, y + side), height=10.0, status=status)
-            )
-            k += 1
-    return replace(
-        preset("multi_density"), extent=48.0, buildings=tuple(buildings), seed=seed
-    )
-
-
 def test_criterion_5_synthetic_change_recovery_and_uot_ordering():
     """Threshold sweep recovers the changes (mean change IoU >= 0.80) and
     unbalanced OT beats balanced OT on the multi_density preset, within 2
@@ -162,7 +139,9 @@ def test_criterion_5_synthetic_change_recovery_and_uot_ordering():
     advantage at desk scale.
     """
     start = time.perf_counter()
-    spec = _six_building_scene()
+    # 3 added and 3 removed buildings at multi_density preset densities;
+    # removed footprints are larger, so the scene destroys net mass
+    spec = six_buildings(11)
     pc0, pc1 = generate_pair(spec)
     grid = [0.5 * k for k in range(1, 21)]
     best = {}

@@ -22,7 +22,7 @@ from otcd.solver import (
     sinkhorn_balanced,
     sinkhorn_unbalanced,
 )
-from otcd.synth import Building, generate_pair, preset
+from otcd.synth import generate_pair, six_buildings
 
 
 def _log_sum_exp_sinkhorn(C, eps, rho=None, max_iter=20000, tol=1e-14):
@@ -63,19 +63,9 @@ def _plain_sinkhorn(C, eps, tol, max_iter=20000):
 
 
 def _six_building_scene(seed):
-    """3 added and 3 removed 10 m buildings on a 48 m ``multi_density``
-    scene at half its ground density."""
-    buildings = []
-    for k, (y, x) in enumerate((y, x) for y in (3.0, 19.0, 35.0) for x in (5.0, 29.0)):
-        status, side = ("added", 10.0) if k % 2 == 0 else ("removed", 12.0)
-        buildings.append(Building((x, y, x + side, y + side), 10.0, status))
-    return replace(
-        preset("multi_density"),
-        extent=48.0,
-        ground_density=2.0,
-        buildings=tuple(buildings),
-        seed=seed,
-    )
+    """The six-building scene at half the ``multi_density`` ground
+    density."""
+    return replace(six_buildings(seed), ground_density=2.0)
 
 
 def _halo_chunk_cost(seed, chunk_id):
@@ -465,6 +455,25 @@ class TestOverRelaxation:
         row, col = _uniform_violations(plan)
         assert row <= tol and col <= tol
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="relaxed at omega ~1.99 from a 0.9999 plain window, 4000 sweeps "
+        "are not enough (ROADMAP item 5)",
+    )
+    @pytest.mark.parametrize("instance", [1, 41])
+    def test_instances_that_converged_on_32_sweep_windows(self, instance):
+        # criterion 1's instances 1 (14x10) and 41 (14x14) need 51k and 63k
+        # plain sweeps. Relaxed from sweep 64 on 32-sweep windows they
+        # converged in 1697 and 1185. From sweep 12 on 6-sweep windows, a
+        # plain window reads a rate of 0.99991-0.99996 (omega 1.98-1.99);
+        # the relaxed windows that follow stay faster than that rate but
+        # slow to 0.999 per sweep, so neither the fallback nor the raise
+        # helps, and 4000 sweeps end unconverged
+        rng = np.random.default_rng(1000 + instance)
+        C = rng.random((int(rng.integers(2, 16)), int(rng.integers(2, 16))))
+        cfg = SolverConfig(epsilon=1e-3, tol=1e-5, max_iter=4000)
+        assert sinkhorn_balanced(C, cfg).converged
+
     def test_relaxing_starts_at_sweep_12(self):
         # a 6-sweep warm-up window, then a 6-sweep window that measures the
         # rate; omega is set on the sweep that closes it
@@ -602,6 +611,28 @@ class TestUnbalancedOverRelaxation:
         assert plan.omega == 1.0
         assert plan.converged and plan.gap <= tol
         np.testing.assert_allclose(plan.col_marginal, 1 / shape[1], rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [552, 676])
+    def test_each_relaxed_phase_judges_divergence_by_its_own_best(
+        self, monkeypatch, seed
+    ):
+        # the first relaxed phase brings the drift down to 3e-5 (552) or
+        # 5e-5 (676) and falls back to plain sweeps at sweep 24; within its
+        # first three sweeps the next phase, from sweep 49 or 37, reaches
+        # drifts over 1e3 times higher (0.032, 0.097). Judged against the
+        # first phase's best, that counts as a
+        # divergence and doubles the rate window; judged against its own
+        # gaps it converges in 75 or 77 sweeps without one (84 or 108 with)
+        lengthened = []
+        real = solver._lengthened
+        monkeypatch.setattr(
+            solver, "_lengthened", lambda w, i: lengthened.append(i) or real(w, i)
+        )
+        rng = np.random.default_rng(seed)
+        C = rng.random((int(rng.integers(2, 31)), int(rng.integers(2, 31))))
+        plan = sinkhorn_unbalanced(C, SolverConfig(epsilon=0.01, rho=10.0))
+        assert plan.converged and plan.omega > 1.0
+        assert lengthened == []
 
     def test_worker_count_does_not_change_the_run(self):
         _assert_workers_do_not_change_the_relaxed_run(
