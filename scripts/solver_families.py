@@ -72,7 +72,8 @@ def _chunks(scene_seeds, method, point_cap, halo, epsilon_rel):
     for seed in scene_seeds:
         pc0, pc1 = generate_pair(replace(six_buildings(seed), ground_density=2.0))
         diagnostics += detect_changes(pc0, pc1, cfg).diagnostics
-    return [d for d in diagnostics if d.iterations is not None]
+    # chunks that solved no plan (no sources, or nn) have no epsilon
+    return [d for d in diagnostics if d.epsilon is not None]
 
 
 BENCHMARK_SCENES = [

@@ -46,7 +46,6 @@ from .solver import (
     barycentric_projection,
     cost_matrix,
     dense_solve_bytes,
-    lp_exact_small,
     sinkhorn_balanced,
     sinkhorn_unbalanced,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "detect_changes",
     "generate_pair",
     "iou",
-    "lp_exact_small",
     "merge_scores",
     "pointwise_scores",
     "preset",

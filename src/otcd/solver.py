@@ -19,9 +19,8 @@ scalings are absorbed back into the kernel whenever they drift far from 1.
 Each sweep is two BLAS matrix-vector products into buffers allocated once
 per solve. Sweeps of both problems are over-relaxed once the rate at which
 they converge has been measured, from sweep 12 on; a relaxed solve that
-diverges measures that rate again over a window twice as long. An exact
-linear-programming oracle for tiny instances and the barycentric projection
-of a plan onto the target support live here too.
+diverges measures that rate again over a window twice as long. The
+barycentric projection of a plan onto the target support lives here too.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ MASS_FLOOR_FRACTION = 1e-3
 
 # refuse a dense matrix larger than this fraction of the available RAM
 _MEMORY_SAFETY = 0.85
-
-_LP_MAX_CELLS = 400
 
 # cap on the cells used for the epsilon_rel median estimate; an exact
 # median of a larger matrix would cost a sort-sized copy of it
@@ -340,9 +337,9 @@ def _relaxation_factor(rate: float) -> float:
 def _plain_rate(relaxed_rate: float, omega: float) -> float:
     """The plain rate ``lam`` that makes sweeps relaxed by ``omega`` contract
     by ``relaxed_rate`` each, from Young's relation for the 2-cyclic
-    alternating updates, ``(relaxed_rate + omega - 1)**2 = relaxed_rate *
-    omega**2 * lam``. It holds while ``omega`` is below the optimal factor,
-    that is while ``relaxed_rate > omega - 1``."""
+    alternating updates of either problem, ``(relaxed_rate + omega - 1)**2
+    = relaxed_rate * omega**2 * lam``. It holds while ``omega`` is below
+    the optimal factor, that is while ``relaxed_rate > omega - 1``."""
     return (relaxed_rate + omega - 1.0) ** 2 / (relaxed_rate * omega * omega)
 
 
@@ -400,12 +397,10 @@ def _sinkhorn(
     (:func:`_grace_windows`; one or two on the benchmark's chunks), are not
     compared. After them, a relaxed window that contracts no faster than r
     sends the solve back to plain sweeps, which measure r afresh after a
-    warm-up window. In a balanced solve, one that contracts more slowly
-    than ``omega`` allows raises ``omega`` to the factor of the plain rate
-    that it implies (:func:`_plain_rate`), so that a solve whose plain rate
-    keeps slowing follows it. The translation below is outside the relation
-    that rate rests on, so an unbalanced solve keeps the factor of its
-    measured rate.
+    warm-up window. One that contracts more slowly than ``omega`` allows
+    raises ``omega`` to the factor of the plain rate that it implies
+    (:func:`_plain_rate`), so that a solve whose plain rate keeps slowing
+    follows it.
 
     A relaxed solve diverges when the gap turns NaN or exceeds
     ``_DIVERGENCE`` times its best since this relaxed phase began (the gap
@@ -432,7 +427,7 @@ def _sinkhorn(
     sweeps before; the solve falls back to plain sweeps and stops two
     sweeps later, with scores up to 9e-4 m from the fixed point. With it,
     the drift follows the plan: the chunks of the benchmark's seed-1 scenes
-    take 80-145 sweeps instead of 245-425, with scores within 1.6e-4 m of
+    take 77-100 sweeps instead of 244-425, with scores within 1.1e-4 m of
     the fixed point, against 3.1e-3 m for plain sweeps.
 
     Mat-vecs are BLAS gemv calls (``np.matmul``) into vectors allocated
@@ -518,7 +513,7 @@ def _sinkhorn(
                 # plain sweeps, whose rate is measured again after a warm-up
                 # window (against an infinite gap)
                 omega, relaxing, window_gap = 1.0, False, math.inf
-            elif rho is None and window_rate > omega - 1.0:
+            elif window_rate > omega - 1.0:
                 # slower than omega allows: the plain rate has slowed since
                 # it was measured
                 faster = _relaxation_factor(_plain_rate(window_rate, omega))
@@ -618,32 +613,6 @@ def sinkhorn_unbalanced(
     C = _validate_cost(C)
     cfg = cfg.resolved(C)
     return _sinkhorn(C, cfg.epsilon, cfg.rho, cfg.max_iter, cfg.tol, overwrite_cost)
-
-
-def lp_exact_small(C: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact un-regularized optimum ``min <P, C>`` over the transport
-    polytope with uniform marginals, for test-oracle use on instances with
-    at most 400 cells. Solved as an explicit LP (HiGHS).
-    """
-    C = _validate_cost(C)
-    n0, n1 = C.shape
-    if n0 * n1 > _LP_MAX_CELLS:
-        raise ValueError(
-            f"instance {n0}x{n1} exceeds the {_LP_MAX_CELLS}-cell oracle limit"
-        )
-
-    A_eq = np.zeros((n0 + n1, n0 * n1))
-    for i in range(n0):
-        A_eq[i, i * n1 : (i + 1) * n1] = 1.0
-    for j in range(n1):
-        A_eq[n0 + j, j::n1] = 1.0
-    b_eq = np.concatenate([np.full(n0, 1.0 / n0), np.full(n1, 1.0 / n1)])
-    from scipy.optimize import linprog  # test oracle only; slow to import
-
-    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"LP oracle failed: {res.message}")
-    return float(res.fun), res.x.reshape(n0, n1)
 
 
 def barycentric_projection(

@@ -27,7 +27,6 @@ from otcd import (
     cost_matrix,
     detect_changes,
     generate_pair,
-    lp_exact_small,
     preset,
     sinkhorn_balanced,
     sinkhorn_unbalanced,
@@ -35,6 +34,8 @@ from otcd import (
 )
 from otcd.cli import run as cli_run
 from otcd.synth import six_buildings
+
+from lp_oracle import lp_exact_small
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

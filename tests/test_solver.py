@@ -18,11 +18,12 @@ from otcd.solver import (
     TransportPlan,
     barycentric_projection,
     cost_matrix,
-    lp_exact_small,
     sinkhorn_balanced,
     sinkhorn_unbalanced,
 )
 from otcd.synth import generate_pair, six_buildings
+
+from lp_oracle import lp_exact_small
 
 
 def _log_sum_exp_sinkhorn(C, eps, rho=None, max_iter=20000, tol=1e-14):
@@ -345,9 +346,9 @@ class TestSinkhornBalanced:
 
 
 class TestOverRelaxation:
-    """The balanced solver over-relaxes its sweeps once the stopping gap
-    contracts steadily; its converged plans must be the plain-Sinkhorn
-    ones."""
+    """Both solvers over-relax their sweeps once the stopping gap contracts
+    steadily, and raise omega by one rule; the balanced solver's converged
+    plans must be the plain-Sinkhorn ones."""
 
     # Both plans have exact columns and rows within tol of mu0 in L1; how
     # far apart that lets them lie depends on the instance's conditioning,
@@ -503,6 +504,25 @@ class TestOverRelaxation:
         assert plan.converged and plan.omega > 1.9
         row, col = _uniform_violations(plan)
         assert row <= 1e-7 and col <= 1e-10
+
+    def test_unbalanced_solve_raises_omega_too(self, monkeypatch):
+        # seed 1 of the unbalanced family in scripts/solver_families.py
+        # (15x16, eps 0.01, rho 10): its relaxed windows contract more
+        # slowly than omega allows, so omega rises to the factor of the
+        # plain rate they imply, as in a balanced solve
+        omegas = []
+        plain_rate = solver._plain_rate
+
+        def spy(relaxed_rate, omega):
+            omegas.append(omega)
+            return plain_rate(relaxed_rate, omega)
+
+        monkeypatch.setattr(solver, "_plain_rate", spy)
+        rng = np.random.default_rng(1)
+        C = rng.random((int(rng.integers(2, 31)), int(rng.integers(2, 31))))
+        plan = sinkhorn_unbalanced(C, SolverConfig(epsilon=0.01, rho=10.0))
+        assert plan.converged
+        assert omegas and plan.omega > omegas[0]
 
     def test_worker_count_does_not_change_the_run(self):
         _assert_workers_do_not_change_the_relaxed_run(

@@ -1,4 +1,4 @@
-"""scripts/solver_families.py on one of its smallest families."""
+"""scripts/solver_families.py on the benchmark's two chunk families."""
 
 import importlib.util
 from pathlib import Path
@@ -15,4 +15,12 @@ def test_counts_the_benchmark_halo_chunks():
     row = solver_families.count("ot_halo_sweep")
     assert row["family"] == "ot_halo_sweep"
     assert row["solves"] == 48 and row["unconverged"] == 0
+    assert row["sweeps"] > row["solves"]
+
+
+def test_counts_the_benchmark_unbalanced_chunks():
+    # the uot_large_chunks workload: 3 scenes of 4 chunks at cap 2500
+    row = solver_families.count("uot_large_chunks")
+    assert row["family"] == "uot_large_chunks"
+    assert row["solves"] == 12 and row["unconverged"] == 0
     assert row["sweeps"] > row["solves"]
