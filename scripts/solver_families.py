@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Total Sinkhorn sweeps and unconverged solves per instance family.
+"""Total Sinkhorn sweeps, wall seconds and unconverged solves per family.
 
 A change to the solver's sweep schedule is judged on these families: no
 family may take more sweeps, or leave more solves unconverged, than the
-parent commit. Run it against each checkout's ``src`` and compare:
+parent commit. Each family's wall seconds (for the chunk families, scene
+generation and ``detect_changes`` included) show what a precision or
+kernel change does to the time of its sweeps; compare them only between
+runs on one machine. Run it against each checkout's ``src`` and compare:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/solver_families.py
 
@@ -26,6 +29,7 @@ the detector logs its halo-cap and max_iter warnings to stderr):
 """
 
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -96,12 +100,16 @@ FAMILIES = {
 
 
 def count(name: str) -> dict:
-    """Solves, total sweeps and unconverged solves of family ``name``."""
+    """Solves, total sweeps, wall seconds and unconverged solves of family
+    ``name``."""
+    start = time.perf_counter()
     runs = FAMILIES[name]()
+    wall_s = time.perf_counter() - start
     return {
         "family": name,
         "solves": len(runs),
         "sweeps": sum(r.iterations for r in runs),
+        "wall_s": round(wall_s, 2),
         "unconverged": sum(not r.converged for r in runs),
     }
 

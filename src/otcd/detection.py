@@ -216,7 +216,7 @@ def _solve_chunk(
     elif cfg.method == METHOD_NN_BASELINE:
         scores = _nn_chunk_scores(X0c, X1c)
     else:
-        C = cost_matrix(X0c, X1c)
+        C = cost_matrix(X0c, X1c, tol=cfg.solver.tol)
         if cfg.method == METHOD_UNBALANCED_OT:
             plan = sinkhorn_unbalanced(C, cfg.solver, overwrite_cost=True)
         else:
@@ -226,7 +226,7 @@ def _solve_chunk(
         solve = dict(
             iterations=plan.iterations,
             converged=plan.converged,
-            peak_bytes_estimate=dense_solve_bytes(n0, n1),
+            peak_bytes_estimate=dense_solve_bytes(n0, n1, cfg.solver.tol),
             epsilon=plan.epsilon,
             gap=plan.gap if math.isfinite(plan.gap) else None,
             omega=plan.omega,

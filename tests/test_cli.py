@@ -658,6 +658,15 @@ def test_worker_count_does_not_change_bytes_with_two_blas_threads(tmp_path):
             for workers in ("1", "2")
         )
         assert one == two, name
+    # the uot chunks sweep float32 kernel copies (12 bytes per cell), so the
+    # check above covers sgemv; the halo chunks, under 2**17 cells, float64
+    for name, per_cell in (("uot", 12), ("halo", 8)):
+        diag = json.loads((tmp_path / f"s.{name}.w1.diag.json").read_text())
+        solved = [c for c in diag["chunks"] if c["n0"] > 0]
+        assert solved, name
+        for c in solved:
+            assert (c["n0"] * c["n1"] >= 2**17) == (per_cell == 12), name
+            assert c["peak_bytes_estimate"] == per_cell * c["n0"] * c["n1"], name
 
 
 _SCIPY_PROBE = """

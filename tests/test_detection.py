@@ -369,4 +369,7 @@ class TestDetectChanges:
         assert all(d.mass_change >= 0 for d in solved)
         # no dense solve, no bytes estimate
         assert all(d.peak_bytes_estimate is None for d in empty)
+        # the float64 cost, and at 2**17 cells or more (at the default tol)
+        # a float32 copy of the kernel; these chunks are below that
+        assert all(d.n0 * d.n1 < 2**17 for d in solved)
         assert all(d.peak_bytes_estimate == 8 * d.n0 * d.n1 for d in solved)

@@ -184,6 +184,16 @@ class TestMemoryGuard:
         with pytest.raises(SolverResourceError, match=r"GiB.* chunk point cap"):
             cost_matrix(X, X)
 
+    def test_cost_matrix_admits_the_whole_solve_at_its_tol(self, monkeypatch):
+        # 400x400 cells: the cost's 1.2 MiB fits 0.85 of 2 MiB, the 1.8 MiB
+        # of a solve that sweeps a float32 kernel copy does not
+        monkeypatch.setattr(solver, "_available_memory_bytes", lambda: 2 * 2**20)
+        X = np.zeros((400, 3))
+        assert cost_matrix(X, X).shape == (400, 400)
+        assert cost_matrix(X, X, tol=1e-9).shape == (400, 400)
+        with pytest.raises(SolverResourceError, match="cost matrix needs"):
+            cost_matrix(X, X, tol=1e-6)
+
     def test_kernel_copy_beyond_available_memory(self, monkeypatch):
         C = cost_matrix(np.zeros((400, 3)), np.ones((400, 3)))
         monkeypatch.setattr(solver, "_available_memory_bytes", lambda: 2**20)
@@ -191,11 +201,11 @@ class TestMemoryGuard:
             sinkhorn_balanced(C, SolverConfig(epsilon=1.0))
 
     def test_memory_error_becomes_resource_error(self, monkeypatch):
-        def refuse(shape):
+        def refuse(shape, dtype):
             raise MemoryError(f"Unable to allocate array with shape {shape}")
 
         monkeypatch.setattr(solver, "_available_memory_bytes", lambda: None)
-        monkeypatch.setattr(solver, "np", SimpleNamespace(empty=refuse))
+        monkeypatch.setattr(solver, "np", SimpleNamespace(empty=refuse, dtype=np.dtype))
         with pytest.raises(SolverResourceError, match="Unable to allocate") as info:
             solver._dense_matrix(3, 4, "a 3x4 matrix")
         assert info.value.__cause__ is None
@@ -662,6 +672,101 @@ class TestUnbalancedOverRelaxation:
                 workers=1,
             )
         )
+
+
+def _sweep_dtypes(monkeypatch):
+    """The dtype of the matrix each later solve's sweeps read, in order."""
+    dtypes = []
+    init = solver._GibbsKernel.__init__
+
+    def spy(kernel, K, tol):
+        init(kernel, K, tol)
+        dtypes.append(kernel.sweep.dtype)
+
+    monkeypatch.setattr(solver._GibbsKernel, "__init__", spy)
+    return dtypes
+
+
+class TestFloat32Kernel:
+    """A solve of at least 2**17 cells at a tol of at least 8 float32 eps
+    sweeps on a float32 copy of its float64 kernel."""
+
+    def test_chunk_keeps_classes_and_scores_of_a_tight_float64_solve(
+        self, monkeypatch
+    ):
+        dtypes = _sweep_dtypes(monkeypatch)
+        pc0, pc1 = generate_pair(_six_building_scene(1))
+        chunk = build_chunks(pc0, pc1, ChunkingConfig(point_cap=2500))[0]
+        X0, X1 = pc0.xyz[chunk.source_indices], pc1.xyz[chunk.target_indices]
+        assert len(X0) * len(X1) >= 2**17
+        cfg = SolverConfig(epsilon_rel=0.01, rho=1000.0)
+        plan = sinkhorn_unbalanced(cost_matrix(X0, X1), cfg)
+        # below the tol floor: the reference sweeps in float64
+        fixed = sinkhorn_unbalanced(
+            cost_matrix(X0, X1), replace(cfg, tol=1e-11, max_iter=20000)
+        )
+        assert dtypes == [np.float32, np.float64]
+        assert plan.converged and fixed.converged
+        assert plan.coupling.dtype == np.float64
+        scores = [
+            detection.pointwise_scores(barycentric_projection(p, X0)[0], X1)
+            for p in (plan, fixed)
+        ]
+        np.testing.assert_array_equal(
+            detection.classify(scores[0], 2.0), detection.classify(scores[1], 2.0)
+        )
+        reached = np.isfinite(scores[1])
+        np.testing.assert_array_equal(np.isfinite(scores[0]), reached)
+        assert np.abs(scores[0][reached] - scores[1][reached]).max() <= 2.2e-4
+
+    @pytest.mark.parametrize(
+        "shape, tol, per_cell",
+        [
+            ((512, 256), 1e-6, 12),
+            ((512, 256), 8 * float(np.finfo(np.float32).eps), 12),
+            # 2**17 - 1 cells
+            ((131071, 1), 1e-6, 8),
+            # just below the tol floor
+            ((512, 256), np.nextafter(8 * float(np.finfo(np.float32).eps), 0), 8),
+            ((512, 256), 1e-8, 8),
+        ],
+    )
+    def test_precision_rule_edges(self, monkeypatch, shape, tol, per_cell):
+        n0, n1 = shape
+        assert solver.dense_solve_bytes(n0, n1, tol) == per_cell * n0 * n1
+        # the solve follows the estimate
+        dtypes = _sweep_dtypes(monkeypatch)
+        C = np.random.default_rng(3).random(shape)
+        sinkhorn_balanced(C, SolverConfig(epsilon=0.1, tol=tol, max_iter=2))
+        assert dtypes == [np.float32 if per_cell == 12 else np.float64]
+
+    def test_float32_kernel_holds_no_subnormal_entry(self, monkeypatch):
+        # reduced costs up to 200 give float64 kernel entries down to
+        # ~1e-87, far below float32's smallest normal; a bound just above 1
+        # absorbs the scalings after almost every sweep
+        monkeypatch.setattr(solver, "_ABSORB_BOUND_FLOAT32", 1.0 + 1e-9)
+        tiny = np.finfo(np.float32).tiny
+        seen = []
+        refresh = solver._GibbsKernel._refresh
+
+        def checked(kernel):
+            refresh(kernel)
+            K, sweep = kernel.K, kernel.sweep
+            assert sweep.dtype == np.float32
+            seen.append(bool(((K > 0) & (K < tiny)).any()))
+            nonzero = sweep[sweep != 0]
+            assert nonzero.min() >= solver._FLOAT32_FLUSH > tiny
+            assert ((sweep == 0) == (K < solver._FLOAT32_FLUSH)).all()
+
+        monkeypatch.setattr(solver._GibbsKernel, "_refresh", checked)
+        C = np.random.default_rng(4).random((512, 256)) * 200
+        plan = sinkhorn_unbalanced(
+            C, SolverConfig(epsilon=1.0, rho=10.0, max_iter=20)
+        )
+        assert np.isfinite(plan.coupling).all()
+        # the build, then absorptions; entries that float32 could only hold
+        # as subnormals were there to flush
+        assert len(seen) > 2 and seen[0]
 
 
 class TestSinkhornUnbalanced:
