@@ -48,15 +48,21 @@ _MEDIAN_SAMPLE_CELLS = 1 << 19
 _ABSORB_BOUND = 1e50
 
 # a solve of at least this many cells sweeps on a float32 copy of its
-# kernel: on a Xeon with 2 MiB of L2 per core, a 1150x335 float32 gemv pair
-# takes 101 us against 284 us in float64. Below it a gemv is overhead-bound:
-# at 600x85 float32 saves 3 us per sweep and the vector casts cost ~6 us
+# kernel. On a 2-core Xeon with 2 MiB of L2 per core and one BLAS thread, a
+# 1150x335 gemv pair takes ~70 us in float32, casts included, against
+# ~250 us in float64, whose 3 MB kernel does not fit in L2. A smaller
+# float64 kernel (1 MiB at this bound) fits, and float32 gains less: 15
+# against 22 us at 600x85. Swept in float32, the ot_halo_sweep chunks (at
+# most ~83k cells) took 3,827 sweeps against 3,824, in no less time
 _FLOAT32_MIN_CELLS = 1 << 17
 # ... and only at a tol this loose or looser: float32 row sums do not reach
-# a tighter gap (at tol 1e-8, 1 of 8 chunk solves stayed unconverged)
+# a tighter gap. At tol 1e-8, 1 of the 8 uot chunk solves of six-building
+# scenes 1 and 2 (cap 2500) ran out of sweeps in float32; in float64 all 8
+# converged, in 872 sweeps
 _FLOAT32_MIN_TOL = 8 * float(np.finfo(np.float32).eps)
-# float32 kernel entries below this are swept as 0: subnormal entries made
-# the float32 gemvs ~7x slower
+# float32 kernel entries below this are swept as 0: subnormal entries make
+# the float32 gemvs slow (unflushed, the six_uot_1e-3 family of
+# scripts/solver_families.py took 2.2 s against 0.53 s)
 _FLOAT32_FLUSH = 1e-30
 # the absorption bound of a float32 solve, so that a scaling cast to float32
 # lies far from its overflow and underflow
@@ -552,7 +558,7 @@ def _sinkhorn(
     (:class:`_GibbsKernel`), and the absorption bound is 1e15; ``K``, the
     scalings, the potentials, the gap, the translation, the final refit
     and the plan stay float64. On the benchmark's ``uot_large_chunks``
-    chunks (~1150 x 335) a float32 gemv pair takes 101 us against 284 us,
+    chunks (~1150 x 335) a float32 gemv pair takes ~70 us against ~250 us,
     and the 12 chunk solves of its seed-1 scenes take 1,104 sweeps
     against 1,103 in float64. Below the rule the gemvs read ``K`` itself.
     A product that OpenBLAS splits across threads (a gemv from ~9.2k

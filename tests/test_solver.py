@@ -205,7 +205,9 @@ class TestMemoryGuard:
             raise MemoryError(f"Unable to allocate array with shape {shape}")
 
         monkeypatch.setattr(solver, "_available_memory_bytes", lambda: None)
-        monkeypatch.setattr(solver, "np", SimpleNamespace(empty=refuse, dtype=np.dtype))
+        monkeypatch.setattr(
+            solver, "np", SimpleNamespace(empty=refuse, dtype=np.dtype)
+        )
         with pytest.raises(SolverResourceError, match="Unable to allocate") as info:
             solver._dense_matrix(3, 4, "a 3x4 matrix")
         assert info.value.__cause__ is None
